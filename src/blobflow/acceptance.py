@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .energy import EnergyModel
-from .fields import TestFunction, error_term_z
+from .fields import TestFunction, error_term_grid, error_term_z
 from .grids import GridField, QuadratureSpec
 from .jko import flow_interchange_diagnostic, run_jko
 from .kernels import MollifierSpec
@@ -124,10 +124,7 @@ def criterion_5() -> CriterionResult:
     ptwise = True
     for eps in (0.4, 0.2, 0.1, 0.05):
         kernel = MollifierSpec("bump", 1, eps)
-        pad = phi.support_radius() + 2 * kernel.padding_radius()
-        pts = np.vstack([ens.positions, phi.center[None, :]])
-        grid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
-        rep = error_term_z(ens, kernel, phi, grid)
+        rep = error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
         norms[eps] = rep.l1_norm
         ptwise = ptwise and rep.pointwise_ok
     ratios = [norms[b] / norms[a] for a, b in ((0.4, 0.2), (0.2, 0.1), (0.1, 0.05))]

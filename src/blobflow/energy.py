@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnergyDomainError
 from .grids import GridField, QuadratureSpec
-from .kernels import MollifierSpec, density_on_nodes, eval_v
+from .kernels import MollifierSpec, eval_v, value_on_pairs
 
 KINDS = ("power", "entropy")
 
@@ -104,9 +104,13 @@ class EnergyModel:
 
 
 def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid) -> np.ndarray:
-    """(1/N) sum_j V_eps(. - x_j) sampled on the grid nodes, flat (G,)."""
+    """(1/N) sum_j V_eps(. - x_j) sampled on the grid nodes, flat (G,).
+
+    The single particle->grid deposit: the velocity, the energy and the
+    gridded reconstructions in ``fields`` all build V_eps * rho^N here.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    return density_on_nodes(kernel, pos, grid.nodes())
+    return value_on_pairs(kernel, grid.nodes()[None, :, :] - pos[:, None, :]).mean(axis=0)
 
 
 def regularized_energy(
@@ -125,9 +129,7 @@ def regularized_energy(
         conv = convolve_field(rho, kernel)
         return conv.integrate(model.f_eval(conv.values))
     positions = getattr(rho, "positions", rho)
-    grid = quad.grid_for(positions, kernel)
-    v = mollified_density(positions, kernel, grid)
-    return float(np.dot(grid.trapezoid_weights(), model.f_eval(v)))
+    return energy_on_grid(positions, kernel, model, quad.grid_for(positions, kernel))
 
 
 def energy_on_grid(positions, kernel, model, grid) -> float:

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
-from .energy import EnergyModel
+from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
 from .grids import Grid, GridField, QuadratureSpec
-from .kernels import MollifierSpec, density_on_nodes, kernel_moments, unit_m1, value_on_pairs
+from .kernels import MollifierSpec, kernel_moments, unit_m1, value_on_pairs
 from .particles import ParticleEnsemble, Trajectory, velocity_on_grid
 
 CLAMP = 1e-14  # values below this are treated as exact zeros before powering
@@ -31,8 +32,7 @@ def mollify(ens: ParticleEnsemble, kernel: MollifierSpec, grid: Grid) -> GridFie
     """V_eps * rho^N sampled on the grid; mass is ~1 when coverage holds."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    vals = density_on_nodes(kernel, ens.positions, grid.nodes())
-    return GridField(grid, vals.reshape(grid.shape))
+    return GridField(grid, mollified_density(ens.positions, kernel, grid).reshape(grid.shape))
 
 
 def mollify_auto(ens: ParticleEnsemble, kernel: MollifierSpec, quad: QuadratureSpec = QuadratureSpec()) -> GridField:
@@ -121,6 +121,13 @@ class ErrorTermReport:
     grid: Grid
 
 
+def error_term_grid(positions, kernel: MollifierSpec, phi: TestFunction, quad: QuadratureSpec) -> Grid:
+    """Grid for error_term_z: the ensemble and phi's centre, padded by supp phi + 2 kernel supports."""
+    pts = np.vstack([positions, phi.center[None, :]])
+    pad = phi.support_radius() + 2.0 * kernel.padding_radius()
+    return quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
+
+
 def error_term_z(
     ens: ParticleEnsemble,
     kernel: MollifierSpec,
@@ -132,21 +139,17 @@ def error_term_z(
         raise CoverageError("grid must cover the test function padded by the kernel support")
     nodes = grid.nodes()
     pos = ens.positions
-    eps = kernel.eps
     vker = value_on_pairs(kernel, nodes[None, :, :] - pos[:, None, :])  # (N, G)
+    v = vker.mean(axis=0)  # V_eps * rho^N, the mollified_density deposit
     gp_part = phi.grad(pos)  # (N,) or (N, d)
     gp_node = phi.grad(nodes)  # (G,) or (G, d)
     if ens.d == 1:
         gp_part = gp_part[:, None]
         gp_node = gp_node[:, None]
-    z = np.einsum("ng,nd->gd", vker, gp_part) / ens.n - density_on_nodes(
-        kernel, pos, nodes
-    )[:, None] * gp_node
+    z = np.einsum("ng,nd->gd", vker, gp_part) / ens.n - v[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
-    w = grid.trapezoid_weights()
-    l1 = float(np.dot(w, znorm))
-    bound = eps * phi.sup_hess() * unit_m1(kernel)
-    v = density_on_nodes(kernel, pos, nodes)
+    l1 = float(np.dot(grid.trapezoid_weights(), znorm))
+    bound = kernel.eps * phi.sup_hess() * unit_m1(kernel)
     ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * v + 1e-12 * kernel_moments(kernel).sup_v))
     return ErrorTermReport(
         field=z.reshape(grid.shape + (ens.d,)),
@@ -220,11 +223,7 @@ def weak_form_residual(
             gp = gp[:, None]
         pairing[k] = float(np.mean(np.sum(gp * vel, axis=1)))
         lhs[k] = float(np.mean(phi.value(ens.positions))) - phi0
-    residuals = np.empty(times.size)
-    for k in range(times.size):
-        rhs = np.trapezoid(pairing[: k + 1], times[: k + 1]) if k else 0.0
-        residuals[k] = abs(lhs[k] - rhs)
-    return residuals
+    return _time_residuals(lhs, pairing, times)
 
 
 def local_weak_form_residual(
@@ -257,8 +256,9 @@ def local_weak_form_residual(
             integrand += comp * deriv
         spatial[k] = fld.integrate(integrand)
         lhs[k] = fld.integrate(phiv * fld.values) - base
-    residuals = np.empty(times.size)
-    for k in range(times.size):
-        rhs = -np.trapezoid(spatial[: k + 1], times[: k + 1]) if k else 0.0
-        residuals[k] = abs(lhs[k] - rhs)
-    return residuals
+    return _time_residuals(lhs, -spatial, times)
+
+
+def _time_residuals(lhs: np.ndarray, rate: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|lhs(t_k) - int_0^{t_k} rate dt| with one cumulative trapezoid pass."""
+    return np.abs(lhs - cumulative_trapezoid(rate, times, initial=0.0))

@@ -197,16 +197,13 @@ def jko_step(
             raise ConvergenceError("sorted projection increased the objective", residual=gsup)
         j_val = j_sorted
 
-    energy_prev = energy_on_grid(x[:, None], kernel, model, grid)
-    energy_new = energy_on_grid(y[:, None], kernel, model, grid)
-    dw2 = float(np.mean((y - x) ** 2))
     state = JkoState(positions=y, tau=tau, step_index=prev.step_index + 1, objective=j_val)
     field = mollify(state.ensemble(), kernel, grid)
     record = StepRecord(
         n=state.step_index,
-        energy_prev=energy_prev,
-        energy=energy_new,
-        dw2=dw2,
+        energy_prev=energy_on_grid(x[:, None], kernel, model, grid),
+        energy=float(np.dot(grid.trapezoid_weights(), model.f_eval(field.values.ravel()))),
+        dw2=float(np.mean((y - x) ** 2)),
         entropy=boltzmann_entropy(field),
         fi_term=tau * sobolev_seminorm_m2(field, model.m),
         mass_term=tau * field.mass(),

@@ -156,17 +156,12 @@ def _points(x, d):
 
 def eval_v(spec: MollifierSpec, x) -> np.ndarray:
     """V_eps(x); x has trailing axis d (or is scalar/any shape when d=1)."""
-    pts = _points(x, spec.d) / spec.eps
-    r2 = np.sum(pts * pts, axis=-1)
-    return _unit_value_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d)
+    return value_on_pairs(spec, _points(x, spec.d))
 
 
 def eval_grad_v(spec: MollifierSpec, x) -> np.ndarray:
     """grad V_eps(x), odd in x; shape of x (d=1) or x's shape (d=2)."""
-    pts = _points(x, spec.d) / spec.eps
-    r2 = np.sum(pts * pts, axis=-1)
-    g = _unit_grad_factor_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d - 1)
-    out = pts * g[..., None]
+    out = grad_on_pairs(spec, _points(x, spec.d))
     return out[..., 0] if spec.d == 1 else out
 
 
@@ -193,7 +188,11 @@ def unit_m2(spec: MollifierSpec) -> float:
 
 
 def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
-    """V_eps on an explicit (..., d) array of displacement vectors."""
+    """V_eps on an explicit (..., d) array of displacement vectors.
+
+    This and grad_on_pairs are the only places the unit profile is applied
+    to displacements; every particle<->grid evaluation goes through them.
+    """
     u = np.asarray(diff, dtype=float) / spec.eps
     r2 = np.einsum("...d,...d->...", u, u)
     return _unit_value_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d)
@@ -205,15 +204,6 @@ def grad_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
     r2 = np.einsum("...d,...d->...", u, u)
     g = _unit_grad_factor_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d - 1)
     return u * g[..., None]
-
-
-def density_on_nodes(spec: MollifierSpec, positions: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Mollified empirical density (1/N) sum_j V_eps(node - x_j) at each node.
-
-    positions: (N, d); nodes: (G, d).  Returns (G,).
-    """
-    vals = value_on_pairs(spec, nodes[None, :, :] - positions[:, None, :])
-    return vals.mean(axis=0)
 
 
 def self_convolution(spec: MollifierSpec):

@@ -21,7 +21,9 @@ import scipy
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .fields import TestFunction, error_term_z, local_weak_form_residual, mollify_auto, weak_form_residual
+from .fields import (
+    TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
+)
 from .grids import GridField, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, stable_dt
@@ -163,7 +165,6 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
             write_diagnostics_csv(traj, out / "diagnostics.csv")
             manifest["invariants"] = particle_invariants(traj, kernel.family)
             manifest["dt"] = cfg.dt if cfg.dt is not None else stable_dt(kernel, model)
-            manifest["neg_prime_calls"] = model.neg_prime_calls
         else:
             initial = cfg.initial_ensemble()
             chain = run_jko(
@@ -185,7 +186,9 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                 [[i, float(x)] for i, x in enumerate(chain.states[-1].positions)],
             )
             manifest["invariants"] = jko_invariants(chain)
-            manifest["neg_prime_calls"] = model.neg_prime_calls
+        # the mollified density is nonnegative, so F' at a negative argument is a bug
+        manifest["invariants"]["neg_prime_free"] = model.neg_prime_calls == 0
+        manifest["neg_prime_calls"] = model.neg_prime_calls
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -214,10 +217,7 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
 
     rows = []
     for t, ens in traj.snapshots:
-        pts = np.vstack([ens.positions, phi.center[None, :]])
-        pad = phi.support_radius() + 2.0 * kernel.padding_radius()
-        grid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
-        rep = error_term_z(ens, kernel, phi, grid)
+        rep = error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
         rows.append([float(t), rep.l1_norm, rep.l1_bound, int(rep.pointwise_ok)])
     _write_csv(run_dir / "error_term.csv", "t,z_l1,z_l1_bound,pointwise_ok", rows)
 
@@ -230,7 +230,7 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
 
     hull = np.concatenate([e.positions for _, e in traj.snapshots])
     grid = quad.grid_for(hull, kernel)
-    series = [(t, _mollify_on(e, kernel, grid)) for t, e in traj.snapshots]
+    series = [(t, mollify(e, kernel, grid)) for t, e in traj.snapshots]
     local = local_weak_form_residual(series, model, phi)
     _write_csv(
         run_dir / "local_residual.csv",
@@ -242,12 +242,6 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
         "weak_residual": str(run_dir / "weak_residual.csv"),
         "local_residual": str(run_dir / "local_residual.csv"),
     }
-
-
-def _mollify_on(ens, kernel, grid):
-    from .fields import mollify
-
-    return mollify(ens, kernel, grid)
 
 
 def compare_trajectories(path_a, path_b, out_path) -> list:
@@ -324,38 +318,27 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     rows = []
     phi = TestFunction("gaussian_bump", np.zeros(1), max(1.0, dens.support_radius(cfg.T)))
     step_label = cfg.tau if cfg.solver == "jko" else (cfg.dt if cfg.dt is not None else "auto")
+    quad = cfg.quadrature_spec()
     for (eps, n), result in results.items():
         kernel = cfg.kernel_spec(eps=eps)
-        quad = cfg.quadrature_spec()
+        w2_init, z_l1, fi = 0.0, float("nan"), float("nan")
         if cfg.solver == "particle":
-            final = result.trajectory.final()
-            ref = dens.quantile_ensemble(n, t=cfg.T)
-            w2 = w2_1d_positions(final.positions[:, 0], ref.positions[:, 0])
-            vfield = mollify_auto(final, kernel, quad)
-            ref_dens = dens.density(cfg.T, vfield.grid.axes()[0])
-            l1 = vfield.integrate(np.abs(vfield.values - ref_dens))
-            energy_final = result.trajectory.diagnostics[-1]["energy"]
+            traj = result.trajectory
+            final, t_ref, energy_final = traj.final(), cfg.T, traj.diagnostics[-1]["energy"]
             w2_init = w2_1d_positions(
-                result.trajectory.snapshots[0][1].positions[:, 0],
-                dens.quantile_ensemble(n, t=0.0).positions[:, 0],
+                traj.snapshots[0][1].positions[:, 0], dens.quantile_ensemble(n, t=0.0).positions[:, 0]
             )
-            pts = np.vstack([final.positions, phi.center[None, :]])
-            pad = phi.support_radius() + 2.0 * kernel.padding_radius()
-            zgrid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
+            zgrid = error_term_grid(final.positions, kernel, phi, quad)
             z_l1 = error_term_z(final, kernel, phi, zgrid).l1_norm
-            fi = float("nan")
         else:
             chain = result.chain
-            final = chain.states[-1].ensemble()
-            ref = dens.quantile_ensemble(n, t=chain.horizon)
-            w2 = w2_1d_positions(final.positions[:, 0], ref.positions[:, 0])
-            vfield = mollify_auto(final, kernel, quad)
-            ref_dens = dens.density(chain.horizon, vfield.grid.axes()[0])
-            l1 = vfield.integrate(np.abs(vfield.values - ref_dens))
-            energy_final = chain.records[-1].energy
-            w2_init = 0.0
-            z_l1 = float("nan")
+            final, t_ref, energy_final = chain.states[-1].ensemble(), chain.horizon, chain.records[-1].energy
             fi = flow_interchange_diagnostic(chain).sum_d
+        ref = dens.quantile_ensemble(n, t=t_ref)
+        w2 = w2_1d_positions(final.positions[:, 0], ref.positions[:, 0])
+        vfield = mollify_auto(final, kernel, quad)
+        ref_dens = dens.density(t_ref, vfield.grid.axes()[0])
+        l1 = vfield.integrate(np.abs(vfield.values - ref_dens))
         for metric, value in [
             ("w2_final_vs_reference", w2),
             ("l1_final_vs_reference", l1),

@@ -5,6 +5,7 @@ import pytest
 
 from blobflow.cli import main
 from blobflow.config import ExperimentConfig
+from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
 from blobflow.grids import Grid, GridField, read_field_csv, write_field_csv
 from blobflow.runner import execute, read_trajectory_csv
@@ -84,6 +85,28 @@ def test_execute_jko_artifacts(tmp_path):
     assert steps[0] == "n,energy,dw2,entropy,fi_term"
     assert len(steps) == 6
     assert (tmp_path / "j" / "final_particles.csv").exists()
+
+
+@pytest.mark.parametrize("solver", ["particle", "jko"])
+def test_negative_f_prime_fails_the_run(tmp_path, monkeypatch, solver):
+    f_prime = EnergyModel.f_prime
+
+    def leaky(self, x):
+        f_prime(self, np.array([-1.0]))  # registers one negative argument
+        return f_prime(self, x)
+
+    monkeypatch.setattr(EnergyModel, "f_prime", leaky)
+    cfg = particle_config(tmp_path / "run", T=0.002, record_every=1)
+    if solver == "jko":
+        cfg.update(solver="jko", tau=1e-3)
+        cfg.pop("dt")
+    result = execute(ExperimentConfig.from_dict(cfg))
+    assert result.manifest["status"] == "ok" and result.manifest["neg_prime_calls"] > 0
+    assert result.manifest["invariants"]["neg_prime_free"] is False
+    assert not result.ok
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate" if solver == "particle" else "jko", "--config", str(path)]) == 1
 
 
 def test_failed_run_preserves_manifest(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blobflow.energy import EnergyModel
 from blobflow.errors import CoverageError
 from blobflow.fields import (
     TestFunction,
+    _time_residuals,
     error_term_z,
     local_weak_form_residual,
     mollify,
@@ -14,7 +17,7 @@ from blobflow.fields import (
 )
 from blobflow.grids import Grid, GridField, QuadratureSpec
 from blobflow.kernels import MollifierSpec, eval_v, kernel_moments, unit_m1
-from blobflow.particles import ParticleEnsemble, simulate
+from blobflow.particles import ParticleEnsemble, simulate, velocity_on_grid
 from blobflow.reference import BarenblattProfile
 
 K = MollifierSpec("gaussian", 1, 0.3)
@@ -226,3 +229,34 @@ def test_mollify_and_error_term_2d():
     assert rep.l1_norm <= rep.l1_bound * (1 + 1e-6)
     assert rep.pointwise_ok
     assert rep.field.shape == grid.shape + (2,)
+
+
+def _prefix_trapezoid_residuals(lhs, rate, times):
+    """Oracle: one trapezoid over each prefix of the record, O(K^2)."""
+    rhs = [np.trapezoid(rate[: k + 1], times[: k + 1]) if k else 0.0 for k in range(times.size)]
+    return np.abs(lhs - np.array(rhs))
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_time_residuals_match_prefix_trapezoids(k, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(1e-3, 1e-1, size=k))
+    lhs, rate = rng.normal(size=k), rng.normal(size=k)
+    got = _time_residuals(lhs, rate, times)
+    scale = np.abs(lhs).max() + np.sum(np.abs(rate[1:] + rate[:-1]) * np.diff(times))
+    np.testing.assert_allclose(got, _prefix_trapezoid_residuals(lhs, rate, times), rtol=0, atol=1e-12 * scale)
+
+
+def test_weak_form_residual_matches_prefix_trapezoids():
+    kernel = MollifierSpec("gaussian", 1, 0.25)
+    traj = simulate(BarenblattProfile(m=2.0, d=1).quantile_ensemble(32), kernel, M2, T=0.06, dt=2e-3)
+    phi = TestFunction("gaussian_bump", np.zeros(1), 1.5)
+    pairing, lhs = [], []
+    for _, ens in traj.snapshots:
+        vel = velocity_on_grid(ens.positions, kernel, M2, QuadratureSpec().grid_for(ens.positions, kernel))
+        pairing.append(float(np.mean(np.sum(phi.grad(ens.positions)[:, None] * vel, axis=1))))
+        lhs.append(float(np.mean(phi.value(ens.positions))) - float(np.mean(phi.value(traj.snapshots[0][1].positions))))
+    lhs = np.array(lhs)
+    want = _prefix_trapezoid_residuals(lhs, np.array(pairing), traj.times())
+    # the residual is a small difference of O(|lhs|) terms; compare on their scale
+    np.testing.assert_allclose(weak_form_residual(traj, kernel, M2, phi), want, rtol=0, atol=1e-12 * np.abs(lhs).max())

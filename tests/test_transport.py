@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -131,3 +132,30 @@ def test_refined_distance_consistency():
     # repeating atoms leaves the measure unchanged
     a3 = np.repeat(a, 3, axis=0)
     assert w2_1d_refined(a3, b).value == pytest.approx(w2_1d(a, b).value, abs=1e-12)
+
+
+def _lcm_repeat_w2(a, b):
+    """Oracle: repeat both sorted atom lists up to lcm(n, m), then match in order."""
+    n = math.lcm(a.size, b.size)
+    ra = np.repeat(np.sort(a), n // a.size)
+    rb = np.repeat(np.sort(b), n // b.size)
+    return float(np.sqrt(np.mean((ra - rb) ** 2)))
+
+
+@given(
+    arrays(np.float64, st.integers(1, 40), elements=finite),
+    arrays(np.float64, st.integers(1, 40), elements=finite),
+)
+def test_refined_matches_common_refinement(a, b):
+    want = _lcm_repeat_w2(a, b)
+    assert abs(w2_1d_refined(a[:, None], b[:, None]).value - want) <= 1e-12 * max(1.0, want)
+
+
+def test_refined_beyond_the_common_refinement_size():
+    # lcm(2003, 2999) ~ 6e6 atoms, past what the repeat formula could hold
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2003, 1)), rng.normal(size=(2999, 1))
+    rep = w2_1d_refined(a, b)
+    assert np.isfinite(rep.value) and 0.0 < rep.value < 0.5
+    assert rep.value == pytest.approx(w2_1d_refined(b, a).value, rel=1e-12)
+    assert rep.n_points == 2003 + 2999 - 1  # coprime sizes share only the end points
