@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ class ExperimentConfig:
     record_every: int = 1
     initial: dict = dc_field(default_factory=lambda: {"kind": "quantile", "density": {"kind": "uniform"}})
     quadrature: dict = dc_field(default_factory=dict)
-    seed: int = 0
     output_dir: str = "run"
     sweep: dict | None = None
 
@@ -57,22 +56,7 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "energy": self.energy,
-            "solver": self.solver,
-            "n_particles": self.n_particles,
-            "T": self.T,
-            "dt": self.dt,
-            "tau": self.tau,
-            "integrator": self.integrator,
-            "record_every": self.record_every,
-            "initial": self.initial,
-            "quadrature": self.quadrature,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "sweep": self.sweep,
-        }
+        return asdict(self)
 
     # -- validation ----------------------------------------------------------
 
@@ -147,8 +131,6 @@ class ExperimentConfig:
             self.quadrature_spec()
         except Exception as exc:
             errors.append(f"quadrature: {exc}")
-        if not isinstance(self.seed, int):
-            errors.append(f"seed: need an integer, got {self.seed!r}")
         if self.sweep is not None:
             if not isinstance(self.sweep, dict):
                 errors.append("sweep: need an object with 'eps' and/or 'n_particles' lists")
@@ -174,12 +156,9 @@ class ExperimentConfig:
 
     def quadrature_spec(self) -> QuadratureSpec:
         q = dict(self.quadrature or {})
-        domain = q.get("domain")
-        return QuadratureSpec(
-            h_over_eps=q.get("h_over_eps"),
-            pad_factor=q.get("pad_factor"),
-            domain=tuple(map(tuple, domain)) if domain is not None else None,
-        )
+        if q.get("domain") is not None:
+            q["domain"] = tuple(map(tuple, q["domain"]))
+        return QuadratureSpec(**q)  # an unknown key is a TypeError naming it
 
     def initial_density(self):
         spec = dict(self.initial.get("density", {"kind": "uniform"}))

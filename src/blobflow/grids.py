@@ -5,12 +5,17 @@ to the kernel width (the integrands' length scale is eps), with the domain
 padded by the kernel's numerical support so truncation sits below every
 tolerance in use.  Trapezoid weights are used throughout; reductions are
 plain numpy sums (fixed pairwise-summation topology), so repeated runs are
-bit-reproducible.
+bit-reproducible.  Everything here is written once for any dimension d.
+
+``write_csv`` is the one writer of every CSV artifact: Python scalars
+joined by ``str``, which for floats is the shortest round-trip repr, so
+identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +51,7 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """All nodes as a flat (G, d) array, row-major."""
-        axes = self.axes()
-        if self.d == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()], axis=-1)
+        return lattice_nodes(self.axes())
 
     def trapezoid_weights(self) -> np.ndarray:
         """Flat (G,) trapezoid quadrature weights matching nodes()."""
@@ -60,9 +61,7 @@ class Grid:
             w[0] *= 0.5
             w[-1] *= 0.5
             per_axis.append(w)
-        if self.d == 1:
-            return per_axis[0]
-        return np.outer(per_axis[0], per_axis[1]).ravel()
+        return reduce(np.multiply.outer, per_axis).ravel()
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -71,6 +70,11 @@ class Grid:
         lo = self.origin + margin - slack
         hi = self.upper() - margin + slack
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
+
+
+def lattice_nodes(axes) -> np.ndarray:
+    """Every point of the tensor lattice spanned by per-axis coordinates, flat (G, d), row-major."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def cover_points(points: np.ndarray, pad: float, spacing: float) -> Grid:
@@ -119,10 +123,7 @@ class GridField:
 
     def gradient(self):
         """Central-difference gradient per axis (one-sided at boundaries)."""
-        axes = self.grid.axes()
-        if self.d == 1:
-            return [np.gradient(self.values, axes[0])]
-        return list(np.gradient(self.values, axes[0], axes[1]))
+        return [np.gradient(self.values, ax, axis=k) for k, ax in enumerate(self.grid.axes())]
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,13 @@ class QuadratureSpec:
     spacing is h = h_over_eps * eps, defaulting to eps/4 for the gaussian
     family and eps/8 for the bump family (the C^2 bump and the fractional
     powers it feeds need the finer grid).  The padding defaults to the
-    kernel's own numerical support radius and can be overridden via
-    pad_factor (in units of eps).  A fixed box may be pinned via
+    kernel's own numerical support radius, the radius the mollifier and
+    the JKO coverage check rely on.  A fixed box may be pinned via
     domain=[lo, hi] per axis; runs then fail loudly if particles approach
     the boundary instead of silently truncating integrals.
     """
 
     h_over_eps: float | None = None
-    pad_factor: float | None = None
     domain: tuple | None = None
 
     def spacing(self, kernel) -> float:
@@ -147,14 +147,9 @@ class QuadratureSpec:
             return self.h_over_eps * kernel.eps
         return (0.125 if kernel.family == "bump" else 0.25) * kernel.eps
 
-    def padding(self, kernel) -> float:
-        if self.pad_factor is not None:
-            return self.pad_factor * kernel.eps
-        return kernel.padding_radius()
-
     def grid_for(self, positions: np.ndarray, kernel) -> Grid:
         """Quadrature grid for kernel integrals around the given positions."""
-        pad = self.padding(kernel)
+        pad = kernel.padding_radius()
         h = self.spacing(kernel)
         pts = np.atleast_2d(np.asarray(positions, dtype=float))
         if self.domain is None:
@@ -179,19 +174,21 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # serialisation: CSV values plus a JSON geometry sidecar
 
+def write_csv(path, header: str, columns) -> None:
+    """One CSV row per index of the equal-length columns, under header.
+
+    Each column goes through tolist(), so every cell is a Python scalar and
+    str gives the shortest round-trip repr for floats.
+    """
+    cols = [np.asarray(c).tolist() for c in columns]
+    with Path(path).open("w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+
+
 def write_field_csv(field: GridField, path) -> None:
-    path = Path(path)
-    nodes = field.grid.nodes()
-    flat = field.values.ravel()
-    with path.open("w") as fh:
-        if field.d == 1:
-            fh.write("x,value\n")
-            for x, v in zip(nodes[:, 0], flat):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-        else:
-            fh.write("x0,x1,value\n")
-            for (x0, x1), v in zip(nodes, flat):
-                fh.write(f"{float(x0)!r},{float(x1)!r},{float(v)!r}\n")
+    names = ["x"] if field.d == 1 else [f"x{k}" for k in range(field.d)]
+    write_csv(path, ",".join(names + ["value"]), [*field.grid.nodes().T, field.values.ravel()])
     sidecar = {
         "origin": [float(a) for a in field.grid.origin],
         "spacing": field.grid.spacing,

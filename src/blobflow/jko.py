@@ -315,12 +315,7 @@ class FlowInterchangeReport:
     horizon: float
 
 
-def flow_interchange_diagnostic(
-    chain: JkoChain,
-    kernel: MollifierSpec | None = None,
-    model: EnergyModel | None = None,
-    grid=None,
-) -> FlowInterchangeReport:
+def flow_interchange_diagnostic(chain: JkoChain) -> FlowInterchangeReport:
     """Dissipation sum versus the telescoped entropy drop, on one grid.
 
     The inequality sum_n D_n <= m^2/(4 c1) (H^0 - H^K) is exact for exact
@@ -328,11 +323,9 @@ def flow_interchange_diagnostic(
     surrogates (mollified entropy, inexact inner solves), so a ratio above
     1.05 is flagged as a solver-quality warning rather than a failure.
     """
-    kernel = kernel or chain.kernel
-    model = model or chain.model
-    if grid is None:
-        hull = np.concatenate([s.positions for s in chain.states])
-        grid = QuadratureSpec().grid_for(hull[:, None], kernel)
+    kernel, model = chain.kernel, chain.model
+    hull = np.concatenate([s.positions for s in chain.states])
+    grid = QuadratureSpec().grid_for(hull[:, None], kernel)
     fields = [mollify(s.ensemble(), kernel, grid) for s in chain.states]
     d_terms = np.array(
         [chain.tau * sobolev_seminorm_m2(f, model.m) for f in fields[1:]]

@@ -211,28 +211,16 @@ def self_convolution(spec: MollifierSpec):
 
     For the gaussian family the convolution is again a gaussian kernel of
     width sqrt(2)*eps and a MollifierSpec is returned.  For the bump family
-    the convolution has no closed form; a grid-sampled field on the support
-    of W_eps is returned.
+    the convolution has no closed form; V_eps is sampled at spacing eps/64
+    on its support and convolved with itself, giving a grid-sampled field on
+    exactly supp W_eps = [-2 eps, 2 eps]^d.
     """
     if spec.family == "gaussian":
         return spec.with_eps(np.sqrt(2.0) * spec.eps)
 
-    from .grids import Grid, GridField  # local import; grids does not import kernels
+    # local imports: grids does not import kernels, energy does
+    from .energy import convolve_field
+    from .grids import GridField, cover_points
 
-    h = spec.eps / 64.0
-    half = 2.0 * spec.eps  # supp W_eps = B_{2 R eps}
-    n = int(np.ceil(2.0 * half / h)) + 1
-    if spec.d == 1:
-        axis = -half + h * np.arange(n)
-        samples = eval_v(spec, axis)
-        w = np.convolve(samples, samples) * h
-        grid = Grid(origin=np.array([-2.0 * half]), spacing=h, shape=(2 * n - 1,))
-        return GridField(grid, w)
-    from scipy.signal import fftconvolve
-
-    axis = -half + h * np.arange(n)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    samples = eval_v(spec, np.stack([xx, yy], axis=-1))
-    w = fftconvolve(samples, samples) * h * h
-    grid = Grid(origin=np.array([-2.0 * half, -2.0 * half]), spacing=h, shape=w.shape)
-    return GridField(grid, w)
+    grid = cover_points(np.zeros((1, spec.d)), spec.padding_radius(), spec.eps / 64.0)
+    return convolve_field(GridField(grid, value_on_pairs(spec, grid.nodes()).reshape(grid.shape)), spec)

@@ -121,10 +121,7 @@ class BarenblattProfile:
     def sample_field(self, t: float, spacing: float, pad: float = 0.5) -> GridField:
         r = self.support_radius(t) + pad
         n = int(np.ceil(2 * r / spacing)) + 1
-        if self.d == 1:
-            grid = Grid(np.array([-r]), spacing, (n,))
-            return GridField(grid, self.density(t, grid.axes()[0]))
-        grid = Grid(np.array([-r, -r]), spacing, (n, n))
+        grid = Grid(np.full(self.d, -r), spacing, (n,) * self.d)
         return GridField(grid, self.density(t, grid.nodes()).reshape(grid.shape))
 
     @lru_cache(maxsize=8)

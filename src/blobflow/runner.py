@@ -4,8 +4,8 @@ Every run writes into its own directory: trajectory and diagnostics CSVs
 plus a manifest JSON echoing the config, library versions, wall time, and
 the pass/fail status of the invariants asserted during the run.  Partial
 outputs are kept when a run aborts; the failure lands in the manifest.
-Floats are serialised with repr (shortest round-trip), so identical
-configs reproduce byte-identical artifacts.
+Every CSV goes through ``grids.write_csv`` (floats as their shortest
+round-trip repr), so identical configs reproduce byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .fields import (
     TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
 )
-from .grids import GridField, write_field_csv
+from .grids import GridField, write_csv, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, stable_dt
 from .reference import BarenblattProfile
@@ -34,27 +34,12 @@ ENERGY_SLACK = 1e-8
 COM_TOL = 1e-8
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row
-                )
-                + "\n"
-            )
-
-
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     d = traj.snapshots[0][1].d
-    header = "t,id," + ",".join(f"x{a}" for a in range(d))
-    rows = []
-    for t, ens in traj.snapshots:
-        for i, x in enumerate(ens.positions):
-            rows.append([float(t), i] + [float(c) for c in x])
-    _write_csv(path, header, rows)
+    t = np.concatenate([np.full(ens.n, float(t)) for t, ens in traj.snapshots])
+    ids = np.concatenate([np.arange(ens.n) for _, ens in traj.snapshots])
+    pos = np.concatenate([ens.positions for _, ens in traj.snapshots])
+    write_csv(path, "t,id," + ",".join(f"x{a}" for a in range(d)), [t, ids, *pos.T])
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -70,15 +55,11 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_diagnostics_csv(traj: Trajectory, path: Path) -> None:
     d = traj.snapshots[0][1].d
+    diag = traj.diagnostics
+    col = lambda key: np.array([e[key] for e in diag], dtype=float)
+    com = np.array([np.atleast_1d(e["com"]) for e in diag], dtype=float).reshape(len(diag), d)
     header = "t,energy,m2," + ",".join(f"com{a}" for a in range(d)) + ",dw_step"
-    rows = []
-    for entry in traj.diagnostics:
-        rows.append(
-            [float(entry["t"]), float(entry["energy"]), float(entry["m2"])]
-            + [float(c) for c in np.atleast_1d(entry["com"])]
-            + [float(entry["dw_step"])]
-        )
-    _write_csv(path, header, rows)
+    write_csv(path, header, [col("t"), col("energy"), col("m2"), *com.T, col("dw_step")])
 
 
 def particle_invariants(traj: Trajectory, kernel_family: str = "gaussian") -> dict:
@@ -175,16 +156,11 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                 T=cfg.T,
                 quad=quad,
             )
-            _write_csv(
-                out / "jko_steps.csv",
-                "n,energy,dw2,entropy,fi_term",
-                [[r.n, float(r.energy), float(r.dw2), float(r.entropy), float(r.fi_term)] for r in chain.records],
-            )
-            _write_csv(
-                out / "final_particles.csv",
-                "id,x",
-                [[i, float(x)] for i, x in enumerate(chain.states[-1].positions)],
-            )
+            names = ("n", "energy", "dw2", "entropy", "fi_term")
+            cols = [[getattr(r, a) for r in chain.records] for a in names]
+            write_csv(out / "jko_steps.csv", ",".join(names), cols)
+            final = chain.states[-1].positions
+            write_csv(out / "final_particles.csv", "id,x", [np.arange(final.size), final])
             manifest["invariants"] = jko_invariants(chain)
         # the mollified density is nonnegative, so F' at a negative argument is a bug
         manifest["invariants"]["neg_prime_free"] = model.neg_prime_calls == 0
@@ -215,28 +191,21 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
         width = max(1.0, 1.5 * float(np.max(np.abs(hull - center))))
         phi = TestFunction("gaussian_bump", center, width)
 
-    rows = []
-    for t, ens in traj.snapshots:
-        rep = error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
-        rows.append([float(t), rep.l1_norm, rep.l1_bound, int(rep.pointwise_ok)])
-    _write_csv(run_dir / "error_term.csv", "t,z_l1,z_l1_bound,pointwise_ok", rows)
+    reps = [
+        error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
+        for _, ens in traj.snapshots
+    ]
+    z_cols = [[r.l1_norm for r in reps], [r.l1_bound for r in reps], [int(r.pointwise_ok) for r in reps]]
+    write_csv(run_dir / "error_term.csv", "t,z_l1,z_l1_bound,pointwise_ok", [traj.times(), *z_cols])
 
     res = weak_form_residual(traj, kernel, model, phi, quad)
-    _write_csv(
-        run_dir / "weak_residual.csv",
-        "t,residual",
-        [[float(t), float(r)] for t, r in zip(traj.times(), res)],
-    )
+    write_csv(run_dir / "weak_residual.csv", "t,residual", [traj.times(), res])
 
     hull = np.concatenate([e.positions for _, e in traj.snapshots])
     grid = quad.grid_for(hull, kernel)
     series = [(t, mollify(e, kernel, grid)) for t, e in traj.snapshots]
     local = local_weak_form_residual(series, model, phi)
-    _write_csv(
-        run_dir / "local_residual.csv",
-        "t,residual",
-        [[float(t), float(r)] for t, r in zip(traj.times(), local)],
-    )
+    write_csv(run_dir / "local_residual.csv", "t,residual", [traj.times(), local])
     return {
         "error_term": str(run_dir / "error_term.csv"),
         "weak_residual": str(run_dir / "weak_residual.csv"),
@@ -263,7 +232,7 @@ def compare_trajectories(path_a, path_b, out_path) -> list:
         else:
             w2 = w2_assignment_positions(ens.positions, other.positions)
         rows.append([float(t), float(w2)])
-    _write_csv(Path(out_path), "t,w2", rows)
+    write_csv(out_path, "t,w2", list(zip(*rows)))
     return rows
 
 
@@ -349,7 +318,7 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
         ]:
             rows.append([float(eps), int(n), step_label, metric, float(value)])
     rows.sort(key=lambda r: (-r[0], r[1], r[3]))
-    _write_csv(out_root / "report.csv", "eps,n,step,metric,value", rows)
+    write_csv(out_root / "report.csv", "eps,n,step,metric,value", list(zip(*rows)))
 
     summary = {"monotone_in_eps": {}, "monotone_in_n": {}, "eps": eps_list, "n_particles": n_list}
 

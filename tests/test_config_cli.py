@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from blobflow.cli import main
 from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
-from blobflow.grids import Grid, GridField, read_field_csv, write_field_csv
+from blobflow.grids import Grid, GridField, QuadratureSpec, read_field_csv, write_field_csv
 from blobflow.runner import execute, read_trajectory_csv
 
 
@@ -21,7 +24,6 @@ def particle_config(out, **overrides):
         "dt": 1e-3,
         "record_every": 5,
         "initial": {"kind": "quantile", "density": {"kind": "barenblatt", "t0": 1.0}},
-        "seed": 0,
         "output_dir": str(out),
     }
     cfg.update(overrides)
@@ -50,6 +52,29 @@ def test_validation_rejects_unknown_keys_and_entropy_bump():
             )
         )
     assert "gaussian" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"quadrature": {"pad_factor": 2}}, "pad_factor"),  # padding is the kernel's support radius
+        ({"quadrature": {"h_over_esp": 0.25}}, "h_over_esp"),
+        ({"seed": 0}, "seed"),  # every sampler is deterministic
+    ],
+)
+def test_validation_rejects_removed_and_misspelt_knobs(extra, key):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({**particle_config("x"), **extra})
+    assert key in str(err.value)
+
+
+def test_readme_schema_lists_exactly_the_config_knobs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    schema = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert list(schema) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert set(schema["quadrature"]) == {f.name for f in dataclasses.fields(QuadratureSpec)}
+    ExperimentConfig.from_dict(schema)  # the documented example validates
 
 
 def test_tau_cap_message_carries_computed_cap():
