@@ -15,10 +15,10 @@ import numpy as np
 
 from .energy import EnergyModel
 from .fields import TestFunction, error_term_grid, error_term_z
-from .grids import GridField, QuadratureSpec
+from .grids import GridField, QuadratureSpec, cover_points
 from .jko import flow_interchange_diagnostic, run_jko
 from .kernels import MollifierSpec
-from .particles import ParticleEnsemble, pairwise_velocity_m2, simulate, velocity
+from .particles import ParticleEnsemble, pairwise_velocity_m2, simulate, stable_dt, step_count, velocity
 from .reference import BarenblattProfile, fd_pme_oracle, lambda_convexity, lower_bound_check
 from .transport import m2 as ens_m2, w2_1d, w2_1d_positions, w2_assignment
 
@@ -210,10 +210,7 @@ def _eps_ladder_run(m, family, t0, eps_values, n=400, T=0.25):
     for eps in eps_values:
         model = EnergyModel("power", m)
         kernel = MollifierSpec(family, 1, eps)
-        from .particles import stable_dt
-
-        dt = stable_dt(kernel, model)
-        steps = int(np.ceil(T / dt - 1e-12))
+        steps = step_count(T, stable_dt(kernel, model))
         traj = simulate(initial, kernel, model, T=T, dt=T / steps, record_every=steps)
         final = traj.final()
         errors[eps] = w2_1d_positions(final.positions[:, 0], ref.positions[:, 0])
@@ -272,23 +269,20 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     rng = np.random.default_rng(11)
-    from .grids import Grid
-
     lower_ok = True
     for trial in range(50):
         eps = float(rng.uniform(0.05, 0.5))
         model = EnergyModel("entropy") if trial % 2 else EnergyModel("power", float(rng.uniform(1.2, 3.0)))
         kernel = MollifierSpec("gaussian", 1, eps)
         if trial % 3 == 0:
-            h = 0.02
-            grid = Grid(np.array([-6.0]), h, (601,))
+            grid = cover_points(np.zeros((1, 1)), 6.0, 0.02)
             x = grid.axes()[0]
             s1, s2 = rng.uniform(0.2, 2.0, size=2)
             c1, c2 = rng.uniform(-2.0, 2.0, size=2)
             w = rng.uniform(0.2, 0.8)
             vals = w * np.exp(-0.5 * (x - c1) ** 2 / s1**2) / np.sqrt(2 * np.pi * s1**2)
             vals += (1 - w) * np.exp(-0.5 * (x - c2) ** 2 / s2**2) / np.sqrt(2 * np.pi * s2**2)
-            rho = GridField(grid, vals / np.trapezoid(vals, x))
+            rho = GridField(grid, vals / GridField(grid, vals).mass())
         else:
             rho = ParticleEnsemble(rng.normal(scale=rng.uniform(0.3, 2.0), size=(int(rng.integers(2, 40)), 1)))
         lower_ok = lower_ok and lower_bound_check(rho, kernel, model).ok
@@ -311,13 +305,9 @@ def criterion_11() -> CriterionResult:
 
 def criterion_12() -> CriterionResult:
     profile = BarenblattProfile(m=2.0, d=1)
-    from .grids import Grid
-
     errs = {}
     for h in (1 / 128, 1 / 256, 1 / 512):
-        half = 4.0
-        n = int(round(2 * half / h)) + 1
-        grid = Grid(np.array([-half]), h, (n,))
+        grid = cover_points(np.zeros((1, 1)), 4.0, h)
         x = grid.axes()[0]
         initial = GridField(grid, profile.density(0.0, x))
         series = fd_pme_oracle(initial, m=2.0, T=0.25, dt=4 * h * h)

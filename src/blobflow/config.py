@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .grids import QuadratureSpec
 from .jko import tau_cap
 from .kernels import MollifierSpec
-from .particles import INTEGRATORS, stable_dt
+from .particles import INTEGRATORS, stable_dt, step_count
 from .reference import BarenblattProfile, GaussianDensity, ProductDensity, UniformDensity
 
 OUTPUT_ROOT_ENV = "BLOBFLOW_OUTPUT_ROOT"
@@ -92,7 +92,7 @@ class ExperimentConfig:
             if dt <= 0:
                 errors.append(f"dt: must be positive, got {dt}")
             elif self.T > 0 and isinstance(self.record_every, int) and self.record_every >= 1:
-                n_steps = max(1, int(np.ceil(self.T / dt - 1e-12)))
+                n_steps = step_count(self.T, dt)
                 if n_steps % self.record_every:
                     errors.append(
                         f"record_every: {self.record_every} does not divide the {n_steps} steps"

@@ -3,7 +3,8 @@
 Convolution-type integrals all run on uniform grids whose spacing is tied
 to the kernel width (the integrands' length scale is eps), with the domain
 padded by the kernel's numerical support so truncation sits below every
-tolerance in use.  Trapezoid weights are used throughout; reductions are
+tolerance in use.  Every lattice is built by ``cover_points`` and every
+grid integral is a dot product with ``Grid.trapezoid_weights``; reductions are
 plain numpy sums (fixed pairwise-summation topology), so repeated runs are
 bit-reproducible.  Everything here is written once for any dimension d.
 
@@ -78,7 +79,7 @@ def lattice_nodes(axes) -> np.ndarray:
 
 
 def cover_points(points: np.ndarray, pad: float, spacing: float) -> Grid:
-    """Smallest grid of the given spacing covering the points padded by pad."""
+    """Smallest grid of the given spacing covering the points padded by pad; the one lattice rule."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = pts.min(axis=0) - pad
     hi = pts.max(axis=0) + pad
@@ -106,11 +107,8 @@ class GridField:
 
     def integrate(self, integrand: np.ndarray | None = None) -> float:
         """Trapezoid integral of integrand (default: the field itself)."""
-        v = self.values if integrand is None else np.asarray(integrand)
-        axes = self.grid.axes()
-        for k in range(self.d - 1, -1, -1):
-            v = np.trapezoid(v, axes[k], axis=k)
-        return float(v)
+        v = self.values if integrand is None else integrand
+        return float(np.dot(self.grid.trapezoid_weights(), np.ravel(v)))
 
     def mass(self) -> float:
         return self.integrate()
@@ -155,14 +153,9 @@ class QuadratureSpec:
         if self.domain is None:
             return cover_points(pts, pad, h)
         dom = np.atleast_2d(np.asarray(self.domain, dtype=float))
-        if dom.shape != (pts.shape[1], 2):
-            raise ValueError("domain must give [lo, hi] per axis")
-        lo, hi = dom[:, 0], dom[:, 1]
-        grid = Grid(
-            origin=lo,
-            spacing=h,
-            shape=tuple(int(np.ceil((b - a) / h)) + 1 for a, b in zip(lo, hi)),
-        )
+        if dom.shape != (pts.shape[1], 2) or np.any(dom[:, 1] <= dom[:, 0]):
+            raise ValueError("domain must give [lo, hi] per axis, lo < hi")
+        grid = cover_points(dom.T, 0.0, h)
         if not grid.covers(pts, margin=pad):
             raise CoverageError(
                 "quadrature domain too small: a particle sits within one kernel "

@@ -93,13 +93,13 @@ def _unit_grad_factor_r2(family: str, d: int, r2: np.ndarray) -> np.ndarray:
     return -6.0 * c * np.maximum(1.0 - r2, 0.0) ** 2
 
 
-def _radial_integral(profile, d, upper, tol=1e-12):
-    """Integral of profile(|x|) over R^d, via the radial reduction."""
+def _radial_integral(profile, d, upper):
+    """Integral of profile(|x|) over R^d, via the radial reduction (tolerance 1e-12)."""
     if d == 1:
         integrand = lambda r: 2.0 * profile(r)
     else:
         integrand = lambda r: 2.0 * np.pi * r * profile(r)
-    val, err = integrate.quad(integrand, 0.0, upper, limit=200, epsabs=tol, epsrel=tol)
+    val, err = integrate.quad(integrand, 0.0, upper, limit=200, epsabs=1e-12, epsrel=1e-12)
     if err > 1e-9 * max(1.0, abs(val)):
         raise QuadratureError(
             f"radial quadrature error {err:.2e} did not meet tolerance (value {val:.6e})"

@@ -142,6 +142,11 @@ def step(
     return ParticleEnsemble(xn, time=ens.time + dt)
 
 
+def step_count(T: float, dt: float) -> int:
+    """Uniform steps of at most dt that reach T (at least one); the count both solvers and validation use."""
+    return max(1, int(np.ceil(T / dt - 1e-12)))
+
+
 def stable_dt(kernel: MollifierSpec, model: EnergyModel) -> float:
     """Default step: min(0.1 eps^2, reciprocal convexity-modulus heuristic)."""
     dt = 0.1 * kernel.eps ** 2
@@ -173,7 +178,7 @@ def simulate(
 
     if dt is None:
         dt = stable_dt(kernel, model)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    n_steps = step_count(T, dt)
     dt = T / n_steps
     if n_steps % record_every != 0:
         raise ValueError(f"record_every={record_every} must divide the {n_steps} steps")

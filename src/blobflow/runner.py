@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,9 +25,9 @@ from .errors import ConfigError
 from .fields import (
     TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
 )
-from .grids import GridField, write_csv, write_field_csv
+from .grids import GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
-from .particles import ParticleEnsemble, Trajectory, simulate, stable_dt
+from .particles import ParticleEnsemble, Trajectory, simulate, stable_dt, step_count
 from .reference import BarenblattProfile
 from .transport import w2_1d_positions, w2_1d_refined
 
@@ -145,7 +146,8 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
             write_trajectory_csv(traj, out / "trajectory.csv")
             write_diagnostics_csv(traj, out / "diagnostics.csv")
             manifest["invariants"] = particle_invariants(traj, kernel.family)
-            manifest["dt"] = cfg.dt if cfg.dt is not None else stable_dt(kernel, model)
+            dt = cfg.dt if cfg.dt is not None else stable_dt(kernel, model)
+            manifest["dt"] = cfg.T / step_count(cfg.T, dt)  # the step simulate integrates
         else:
             initial = cfg.initial_ensemble()
             chain = run_jko(
@@ -168,6 +170,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
     except Exception as exc:
         manifest["status"] = "error"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        manifest["traceback"] = traceback.format_exc()
     manifest["wall_time_s"] = time.perf_counter() - started
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float) + "\n")
     return RunResult(directory=out, manifest=manifest, trajectory=traj, chain=chain)
@@ -278,11 +281,8 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
             raise RuntimeError(f"sweep run eps={eps} n={n} failed: {result.manifest['error']}")
         return job, result
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(one, jobs))
-    else:
-        results = dict(map(one, jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = dict(pool.map(one, jobs))
 
     rows = []
     phi = TestFunction("gaussian_bump", np.zeros(1), max(1.0, dens.support_radius(cfg.T)))
@@ -346,15 +346,11 @@ def emit_reference(kind: str, out_path, **kw) -> None:
         )
         fld = prof.sample_field(float(kw.get("t", 0.0)), float(kw.get("spacing", 0.01)))
     elif kind == "heat":
-        from .grids import Grid
         from .reference import heat_solution
 
         sigma2 = float(kw.get("sigma2", 1.0))
         t = float(kw.get("t", 0.0))
-        h = float(kw.get("spacing", 0.01))
-        half = 8.0 * np.sqrt(sigma2 + 2.0 * t)
-        n = int(np.ceil(2 * half / h)) + 1
-        grid = Grid(np.array([-half]), h, (n,))
+        grid = cover_points(np.zeros((1, 1)), 8.0 * np.sqrt(sigma2 + 2.0 * t), float(kw.get("spacing", 0.01)))
         fld = GridField(grid, heat_solution(t, grid.axes()[0], sigma2))
     else:
         raise ConfigError(f"unknown reference kind {kind!r}")

@@ -11,7 +11,7 @@ from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
 from blobflow.grids import Grid, GridField, QuadratureSpec, read_field_csv, write_field_csv
-from blobflow.runner import execute, read_trajectory_csv
+from blobflow.runner import converge, execute, read_trajectory_csv
 
 
 def particle_config(out, **overrides):
@@ -143,6 +143,33 @@ def test_failed_run_preserves_manifest(tmp_path):
     assert result.manifest["status"] == "error"
     assert not result.ok
     assert (tmp_path / "f" / "manifest.json").exists()
+
+
+def test_domain_escape_keeps_its_traceback(tmp_path):
+    # the box covers the initial data but not the spreading front (escape at step 8)
+    cfg = particle_config(tmp_path / "f", quadrature={"domain": [[-3.05, 3.05]]})
+    manifest = execute(ExperimentConfig.from_dict(cfg)).manifest
+    assert manifest["error"].startswith("DomainEscapeError: particles escaped the quadrature box at step 8")
+    assert json.loads((tmp_path / "f" / "manifest.json").read_text())["traceback"] == manifest["traceback"]
+    assert "DomainEscapeError" in manifest["traceback"]
+    assert "in simulate" in manifest["traceback"]
+
+
+def test_manifest_records_the_integrated_step(tmp_path):
+    # dt=0.001 does not divide T=0.0025: simulate takes three steps of T/3
+    result = execute(ExperimentConfig.from_dict(particle_config(tmp_path / "r", T=0.0025, record_every=1)))
+    assert result.manifest["dt"] == 0.0025 / 3
+    assert np.diff(result.trajectory.times()) == pytest.approx([result.manifest["dt"]] * 3, rel=1e-12)
+
+
+def test_converge_is_independent_of_thread_count(tmp_path):
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        cfg = particle_config(out, n_particles=16, T=0.004, record_every=4, sweep={"eps": [0.4, 0.2]})
+        converge(ExperimentConfig.from_dict(cfg), threads=threads)
+        outputs.append([(out / name).read_bytes() for name in ("report.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """The dimension-generic grid layer against the per-d code it replaced.
 
 Each oracle below is the explicit d=1 / d=2 formula (or the per-value
-row formatter) that the generic path replaced; the generic path must
-reproduce it exactly.
+row formatter, a hand-written lattice, the per-axis trapezoid rule) that
+the single path replaced; the single path must reproduce it exactly, or
+to rounding where the summation order changed.
 """
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from blobflow.energy import convolve_field
-from blobflow.grids import Grid, GridField, write_csv
+from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, read_field_csv, write_csv
 from blobflow.kernels import MollifierSpec, eval_v, self_convolution
+from blobflow.reference import BarenblattProfile
+from blobflow.runner import emit_reference
 
 
 def _rows_oracle(header, rows) -> str:
@@ -136,3 +139,63 @@ def test_bump_self_convolution_matches_old_padded_grid(d):
     ring = old.copy()
     ring[(slice(128, 385),) * d] = 0.0
     assert np.max(np.abs(ring)) <= 1e-15 * np.max(old)  # what the tighter grid drops
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}-{'x'.join(map(str, g.shape))}")
+def test_integrate_matches_per_axis_trapezoid(grid):
+    values = np.exp(np.cos(2.0 * grid.nodes()).sum(axis=1)).reshape(grid.shape)
+    want = values
+    for k in range(grid.d - 1, -1, -1):  # the per-axis rule integrate replaced
+        want = np.trapezoid(want, grid.axes()[k], axis=k)
+    field = GridField(grid, values)
+    assert field.integrate() == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+def _lattice_oracle(lo, hi, h):
+    """The hand-written lattice: origin lo, ceil(extent / h) + 1 nodes per axis."""
+    return Grid(lo, h, tuple(int(np.ceil((b - a) / h)) + 1 for a, b in zip(lo, hi)))
+
+
+def _same_lattice(got, want):
+    np.testing.assert_array_equal(got.origin, want.origin)
+    assert (got.spacing, got.shape) == (want.spacing, want.shape)
+
+
+@pytest.mark.parametrize("domain", [((-2.0, 3.0),), ((-1.3, 1.1), (0.0, 2.05))])
+def test_cover_points_builds_the_pinned_domain_lattice(domain):
+    kernel = MollifierSpec("gaussian", len(domain), 0.1)
+    dom = np.asarray(domain)
+    grid = QuadratureSpec(domain=domain).grid_for(dom.mean(axis=1)[None, :], kernel)
+    _same_lattice(grid, _lattice_oracle(dom[:, 0], dom[:, 1], 0.025))
+
+
+@pytest.mark.parametrize("domain", [((3.0, -3.0),), ((-1.0, 1.0), (2.0, 2.0))])
+def test_pinned_domain_must_be_ordered(domain):
+    # cover_points would span a reversed box just the same; the spec refuses it
+    with pytest.raises(ValueError, match="lo < hi"):
+        QuadratureSpec(domain=domain).grid_for(np.zeros((1, len(domain))), MollifierSpec("gaussian", len(domain), 0.1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t,h", [(0.0, 0.01), (0.3, 0.013), (1.7, 0.002)])
+def test_cover_points_builds_the_profile_lattice(d, t, h):
+    prof = BarenblattProfile(m=2.0, d=d)
+    r = prof.support_radius(t) + 0.5
+    n = int(np.ceil(2 * r / h)) + 1
+    _same_lattice(prof.sample_field(t, h).grid, Grid(np.full(d, -r), h, (n,) * d))
+
+
+@pytest.mark.parametrize("sigma2,t,h", [(1.0, 0.0, 0.01), (0.3, 0.2, 0.007), (2.5, 1.1, 0.03)])
+def test_cover_points_builds_the_heat_lattice(tmp_path, sigma2, t, h):
+    emit_reference("heat", tmp_path / "h.csv", sigma2=sigma2, t=t, spacing=h)
+    half = 8.0 * np.sqrt(sigma2 + 2.0 * t)
+    n = int(np.ceil(2 * half / h)) + 1
+    _same_lattice(read_field_csv(tmp_path / "h.csv").grid, Grid(np.array([-half]), h, (n,)))
+
+
+def test_cover_points_builds_the_acceptance_lattices():
+    # criterion 12 rounded 2 * half / h; criterion 11 spelt out 601 nodes
+    for h in (1 / 128, 1 / 256, 1 / 512):
+        want = Grid(np.array([-4.0]), h, (int(round(2 * 4.0 / h)) + 1,))
+        _same_lattice(cover_points(np.zeros((1, 1)), 4.0, h), want)
+    _same_lattice(cover_points(np.zeros((1, 1)), 6.0, 0.02), Grid(np.array([-6.0]), 0.02, (601,)))

@@ -12,6 +12,7 @@ from blobflow.particles import (
     simulate,
     stable_dt,
     step,
+    step_count,
     velocity,
 )
 from blobflow.reference import BarenblattProfile, GaussianDensity, ProductDensity, UniformDensity
@@ -125,6 +126,27 @@ def test_simulate_rejects_bad_record_interval():
     initial = ParticleEnsemble(np.array([0.0, 0.1]))
     with pytest.raises(ValueError):
         simulate(initial, K_G, M2, T=0.01, dt=1e-3, record_every=3)
+
+
+@pytest.mark.parametrize(
+    "T,dt,n",
+    [(0.3, 0.1, 3), (1.2, 0.1, 12), (0.07, 0.01, 7), (0.27, 0.03, 9), (0.25, 0.1, 3), (1e-15, 1.0, 1)],
+)
+def test_step_count_near_integer_ratios(T, dt, n):
+    # T / dt lands an ulp or two below n for the first two, above it for the next two
+    assert step_count(T, dt) == n
+
+
+@pytest.mark.parametrize("T,dt,n", [(0.3, 0.1, 3), (0.07, 0.01, 7)])
+def test_validated_record_interval_is_the_one_run(T, dt, n):
+    from blobflow.config import ExperimentConfig
+
+    cfg = ExperimentConfig.from_dict(
+        {"kernel": {"family": "gaussian", "eps": 0.8, "d": 1}, "energy": {"kind": "power", "m": 2.0},
+         "n_particles": 4, "T": T, "dt": dt, "integrator": "euler", "record_every": n}
+    )
+    traj = simulate(cfg.initial_ensemble(), cfg.kernel_spec(), cfg.energy_model(), T=T, dt=dt, record_every=n)
+    assert len(traj.snapshots) == 2 and traj.times()[-1] == pytest.approx(T, rel=1e-15)
 
 
 def test_pinned_domain_escape_detected():

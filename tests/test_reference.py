@@ -140,6 +140,14 @@ def test_fd_oracle_general_exponents(m, tol):
     assert final.mass() == pytest.approx(initial.mass(), abs=1e-8)
 
 
+def test_fd_oracle_returns_initial_and_final():
+    prof, initial = _barenblatt_initial(1 / 32)
+    series = fd_pme_oracle(initial, m=2.0, T=0.01, dt=1e-3)
+    assert [t for t, _ in series] == pytest.approx([0.0, 0.01], abs=1e-15)
+    assert series[0][1] is initial
+    assert series[1][1].grid == initial.grid and not np.array_equal(series[1][1].values, initial.values)
+
+
 def test_fd_oracle_validates_steps():
     grid = Grid(np.array([-1.0]), 0.01, (201,))
     with pytest.raises(ValueError):
