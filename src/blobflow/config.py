@@ -1,7 +1,9 @@
 """Experiment configuration: JSON schema, validation, object construction.
 
-Validation is all-at-once: every violation found is reported in a single
-ConfigError so a config can be fixed in one pass.
+Each section is the keyword arguments of the object it configures, so
+validation builds those objects and reports whatever they raise.  It is
+all-at-once: every violation found is reported in a single ConfigError so a
+config can be fixed in one pass.
 """
 from __future__ import annotations
 
@@ -10,17 +12,16 @@ import os
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
-import numpy as np
-
 from .energy import EnergyModel
 from .errors import ConfigError
 from .grids import QuadratureSpec
-from .jko import tau_cap
+from .jko import validate_tau
 from .kernels import MollifierSpec
-from .particles import INTEGRATORS, stable_dt, step_count
+from .particles import INTEGRATORS, initial_sampler, step_plan
 from .reference import BarenblattProfile, GaussianDensity, ProductDensity, UniformDensity
 
 OUTPUT_ROOT_ENV = "BLOBFLOW_OUTPUT_ROOT"
+ENERGY_DEFAULTS = {"kind": "power", "m": 2.0}
 
 
 @dataclass
@@ -61,22 +62,29 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
+        """Build the run's own objects and report everything they reject, plus the top-level checks."""
         errors = []
-        kernel = model = None
-        try:
-            kernel = self.kernel_spec()
-        except Exception as exc:
-            errors.append(f"kernel: {exc}")
-        try:
-            model = self.energy_model()
-        except Exception as exc:
-            errors.append(f"energy: {exc}")
+
+        def build(label, make):
+            try:
+                return make()
+            except Exception as exc:
+                errors.append(f"{label}: {exc}")
+
+        kernel = build("kernel", self.kernel_spec)
+        model = build("energy", self.energy_model)
+        quad = build("quadrature", self.quadrature_spec)
+        ens = build("initial", self.initial_ensemble)
         if kernel is not None and model is not None:
             if model.kind == "entropy" and kernel.family == "bump":
                 errors.append(
                     "energy: the entropy integrand needs a strictly positive mollified "
                     "density; pair it with the gaussian family"
                 )
+        if kernel is not None and ens is not None and ens.d != kernel.d:
+            errors.append(f"initial: density dimension {ens.d} does not match kernel d={kernel.d}")
+        if kernel is not None and quad is not None and quad.domain is not None and len(quad.domain) != kernel.d:
+            errors.append(f"quadrature: domain gives {len(quad.domain)} axes, kernel d={kernel.d}")
         if self.solver not in ("particle", "jko"):
             errors.append(f"solver: unknown solver {self.solver!r}")
         if not (isinstance(self.n_particles, int) and self.n_particles >= 1):
@@ -87,50 +95,15 @@ class ExperimentConfig:
             errors.append(f"integrator: choose from {INTEGRATORS}, got {self.integrator!r}")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             errors.append(f"record_every: need a positive integer, got {self.record_every!r}")
-        if self.solver == "particle" and kernel is not None and model is not None:
-            dt = self.dt if self.dt is not None else stable_dt(kernel, model)
-            if dt <= 0:
-                errors.append(f"dt: must be positive, got {dt}")
-            elif self.T > 0 and isinstance(self.record_every, int) and self.record_every >= 1:
-                n_steps = step_count(self.T, dt)
-                if n_steps % self.record_every:
-                    errors.append(
-                        f"record_every: {self.record_every} does not divide the {n_steps} steps"
-                    )
+        elif self.solver == "particle" and self.T > 0 and kernel is not None and model is not None:
+            build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model))
         if self.solver == "jko":
             if kernel is not None and kernel.d != 1:
                 errors.append("solver: the minimizing-movement solver is one-dimensional")
             if self.tau is None:
                 errors.append("tau: required for the jko solver")
             elif model is not None:
-                cap = tau_cap(model, 1)
-                if not 0 < self.tau <= cap:
-                    errors.append(
-                        f"tau: {self.tau} violates the admissible-step cap; need 0 < tau <= {cap:.6g}"
-                    )
-        density = None
-        try:
-            density = self.initial_density()
-        except Exception as exc:
-            errors.append(f"initial: {exc}")
-        if self.initial.get("kind", "quantile") not in ("quantile", "uniform_grid"):
-            errors.append(f"initial: unknown sampler kind {self.initial.get('kind')!r}")
-        if density is not None and kernel is not None:
-            density_d = 2 if getattr(density, "axes", None) is not None else 1
-            if density_d != kernel.d:
-                errors.append(
-                    f"initial: density dimension {density_d} does not match kernel d={kernel.d}"
-                )
-            if density_d == 2:
-                side = int(round(np.sqrt(self.n_particles)))
-                if side * side != self.n_particles:
-                    errors.append(
-                        f"n_particles: product initial data needs a perfect square, got {self.n_particles}"
-                    )
-        try:
-            self.quadrature_spec()
-        except Exception as exc:
-            errors.append(f"quadrature: {exc}")
+                build("tau", lambda: validate_tau(self.tau, model, 1))
         if self.sweep is not None:
             if not isinstance(self.sweep, dict):
                 errors.append("sweep: need an object with 'eps' and/or 'n_particles' lists")
@@ -143,35 +116,24 @@ class ExperimentConfig:
         if errors:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(errors))
 
-    # -- object construction -------------------------------------------------
+    # -- object construction: each section is one constructor's arguments ----
 
-    def kernel_spec(self, eps: float | None = None) -> MollifierSpec:
-        k = dict(self.kernel)
-        if eps is not None:
-            k["eps"] = eps
-        return MollifierSpec(family=k.get("family", "gaussian"), d=int(k.get("d", 1)), eps=float(k["eps"]))
+    def kernel_spec(self) -> MollifierSpec:
+        return MollifierSpec(**{"family": "gaussian", "d": 1, **self.kernel})
 
     def energy_model(self) -> EnergyModel:
-        return EnergyModel(kind=self.energy.get("kind", "power"), m=float(self.energy.get("m", 2.0)))
+        return EnergyModel(**{**ENERGY_DEFAULTS, **self.energy})
 
     def quadrature_spec(self) -> QuadratureSpec:
-        q = dict(self.quadrature or {})
-        if q.get("domain") is not None:
-            q["domain"] = tuple(map(tuple, q["domain"]))
-        return QuadratureSpec(**q)  # an unknown key is a TypeError naming it
+        return QuadratureSpec(**(self.quadrature or {}))
 
     def initial_density(self):
-        spec = dict(self.initial.get("density", {"kind": "uniform"}))
-        return build_density(spec, default_m=float(self.energy.get("m", 2.0)))
+        spec = self.initial.get("density", {"kind": "uniform"})
+        return build_density(spec, self.energy.get("m", ENERGY_DEFAULTS["m"]))
 
-    def initial_ensemble(self, n: int | None = None):
-        from .particles import initial_sampler
-
-        return initial_sampler(
-            self.initial.get("kind", "quantile"),
-            self.initial_density(),
-            n or self.n_particles,
-        )
+    def initial_ensemble(self):
+        sampler = {"kind": "quantile", **self.initial, "density": self.initial_density()}
+        return initial_sampler(n=self.n_particles, **sampler)
 
     def resolved_output_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -181,22 +143,22 @@ class ExperimentConfig:
         return out
 
 
-def build_density(spec: dict, default_m: float = 2.0):
-    kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return UniformDensity(a=float(spec.get("a", 0.0)), b=float(spec.get("b", 1.0)))
-    if kind == "gaussian":
-        return GaussianDensity(sigma2=float(spec.get("sigma2", 1.0)), center=float(spec.get("center", 0.0)))
-    if kind == "barenblatt":
-        return BarenblattProfile(
-            m=float(spec.get("m", default_m)),
-            d=1,
-            mass=float(spec.get("mass", 1.0)),
-            t0=float(spec.get("t0", 1.0)),
-        )
-    if kind == "product":
-        axes = spec.get("axes")
-        if not isinstance(axes, list) or len(axes) != 2:
-            raise ConfigError("product density needs exactly two axis densities")
-        return ProductDensity(axes=tuple(build_density(a, default_m) for a in axes))
-    raise ConfigError(f"unknown density kind {kind!r}")
+DENSITIES = {
+    "uniform": UniformDensity,
+    "gaussian": GaussianDensity,
+    "barenblatt": BarenblattProfile,
+    "product": ProductDensity,
+}
+
+
+def build_density(spec: dict, default_m: float):
+    """The density class ``kind`` names, called with the section's other keys; ``axes`` are sections too."""
+    args = dict(spec)
+    kind = args.pop("kind", "uniform")
+    if kind not in DENSITIES:
+        raise ConfigError(f"unknown density kind {kind!r}; choose from {sorted(DENSITIES)}")
+    if kind == "barenblatt":  # one-dimensional: a product of two gives d = 2
+        return BarenblattProfile(d=1, **{"m": default_m, **args})
+    if kind == "product" and isinstance(args.get("axes"), list):
+        args["axes"] = tuple(build_density(a, default_m) for a in args["axes"])
+    return DENSITIES[kind](**args)

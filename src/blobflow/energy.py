@@ -40,7 +40,7 @@ class EnergyModel:
 
     kind: str
     m: float = 1.0
-    neg_prime_calls: int = field(default=0, repr=False, compare=False)
+    neg_prime_calls: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

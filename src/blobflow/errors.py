@@ -14,7 +14,11 @@ class CoverageError(ValueError):
 
 
 class DomainEscapeError(RuntimeError):
-    """Particles left the configured quadrature box during a run."""
+    """Particles left the configured quadrature box; ``partial`` is the trajectory recorded before."""
+
+    def __init__(self, message, partial):
+        super().__init__(message)
+        self.partial = partial
 
 
 class EnergyDomainError(ValueError):

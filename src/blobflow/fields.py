@@ -122,10 +122,15 @@ class ErrorTermReport:
 
 
 def error_term_grid(positions, kernel: MollifierSpec, phi: TestFunction, quad: QuadratureSpec) -> Grid:
-    """Grid for error_term_z: the ensemble and phi's centre, padded by supp phi + 2 kernel supports."""
+    """Grid for error_term_z: the nodes within one kernel support of the ensemble (z vanishes beyond),
+    cropped from the lattice around the ensemble and phi's centre padded by supp phi + 2 kernel supports."""
     pts = np.vstack([positions, phi.center[None, :]])
     pad = phi.support_radius() + 2.0 * kernel.padding_radius()
-    return quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
+    grid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
+    reach = kernel.padding_radius()
+    lo = np.floor((np.min(positions, axis=0) - reach - grid.origin) / grid.spacing)
+    hi = np.ceil((np.max(positions, axis=0) + reach - grid.origin) / grid.spacing)
+    return Grid(grid.origin + lo * grid.spacing, grid.spacing, hi - lo + 1)
 
 
 def error_term_z(
@@ -135,8 +140,8 @@ def error_term_z(
     grid: Grid,
 ) -> ErrorTermReport:
     """Commutator error z = V_eps*(rho grad phi) - (grad phi) V_eps*rho."""
-    if not grid.covers(phi.center[None, :], margin=phi.support_radius() + kernel.padding_radius()):
-        raise CoverageError("grid must cover the test function padded by the kernel support")
+    if not grid.covers(ens.positions, margin=kernel.padding_radius()):
+        raise CoverageError("grid does not cover the ensemble padded by the kernel support")
     nodes = grid.nodes()
     pos = ens.positions
     vker = value_on_pairs(kernel, nodes[None, :, :] - pos[:, None, :])  # (N, G)

@@ -140,6 +140,13 @@ class QuadratureSpec:
     h_over_eps: float | None = None
     domain: tuple | None = None
 
+    def __post_init__(self):
+        if self.domain is not None:
+            dom = np.asarray(self.domain, dtype=float)
+            if dom.ndim != 2 or dom.shape[1] != 2 or np.any(dom[:, 1] <= dom[:, 0]):
+                raise ValueError("domain must give [lo, hi] per axis, lo < hi")
+            object.__setattr__(self, "domain", tuple(map(tuple, dom.tolist())))
+
     def spacing(self, kernel) -> float:
         if self.h_over_eps is not None:
             return self.h_over_eps * kernel.eps
@@ -152,9 +159,9 @@ class QuadratureSpec:
         pts = np.atleast_2d(np.asarray(positions, dtype=float))
         if self.domain is None:
             return cover_points(pts, pad, h)
-        dom = np.atleast_2d(np.asarray(self.domain, dtype=float))
-        if dom.shape != (pts.shape[1], 2) or np.any(dom[:, 1] <= dom[:, 0]):
-            raise ValueError("domain must give [lo, hi] per axis, lo < hi")
+        dom = np.asarray(self.domain, dtype=float)
+        if len(dom) != pts.shape[1]:
+            raise ValueError(f"domain gives {len(dom)} axes for {pts.shape[1]}-dimensional positions")
         grid = cover_points(dom.T, 0.0, h)
         if not grid.covers(pts, margin=pad):
             raise CoverageError(

@@ -45,8 +45,8 @@ class MollifierSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
+        if type(self.d) is not int or self.d not in (1, 2):
+            raise ValueError(f"dimension must be the integer 1 or 2, got {self.d!r}")
         if not self.eps > 0:
             raise ValueError(f"kernel width must be positive, got {self.eps}")
 

@@ -144,7 +144,19 @@ def step(
 
 def step_count(T: float, dt: float) -> int:
     """Uniform steps of at most dt that reach T (at least one); the count both solvers and validation use."""
+    if not (T > 0 and dt > 0):
+        raise ValueError(f"T and dt must be positive, got T={T}, dt={dt}")
     return max(1, int(np.ceil(T / dt - 1e-12)))
+
+
+def step_plan(T: float, dt: float | None, record_every: int, kernel: MollifierSpec, model: EnergyModel) -> tuple:
+    """(n_steps, dt) simulate integrates: step_count(T, dt) steps of T / n_steps, dt=None taking stable_dt."""
+    if dt is None:
+        dt = stable_dt(kernel, model)
+    n_steps = step_count(T, dt)
+    if n_steps % record_every != 0:
+        raise ValueError(f"record_every={record_every} must divide the {n_steps} steps")
+    return n_steps, T / n_steps
 
 
 def stable_dt(kernel: MollifierSpec, model: EnergyModel) -> float:
@@ -172,16 +184,12 @@ def simulate(
 
     The energy diagnostic uses the same quadrature policy as the velocity.
     With a pinned quadrature domain, a particle reaching the boundary ring
-    aborts the run (DomainEscapeError) rather than truncating integrals.
+    aborts the run (DomainEscapeError, carrying the snapshots recorded so
+    far) rather than truncating integrals.
     """
     from .transport import w2_1d_positions, w2_assignment_positions
 
-    if dt is None:
-        dt = stable_dt(kernel, model)
-    n_steps = step_count(T, dt)
-    dt = T / n_steps
-    if n_steps % record_every != 0:
-        raise ValueError(f"record_every={record_every} must divide the {n_steps} steps")
+    n_steps, dt = step_plan(T, dt, record_every, kernel, model)
 
     def diag(ens, prev):
         grid = quad.grid_for(ens.positions, kernel)
@@ -209,7 +217,8 @@ def simulate(
             ens = step(ens, dt, kernel, model, quad, integrator)
         except CoverageError as exc:
             raise DomainEscapeError(
-                f"particles escaped the quadrature box at step {k} (t={k * dt:.6g}): {exc}"
+                f"particles escaped the quadrature box at step {k} (t={k * dt:.6g}): {exc}",
+                Trajectory(snapshots=snapshots, diagnostics=diagnostics),
             ) from exc
         if k % record_every == 0:
             snapshots.append((ens.time, ens))

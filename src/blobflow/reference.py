@@ -66,6 +66,10 @@ class ProductDensity:
 
     axes: tuple
 
+    def __post_init__(self):
+        if len(self.axes) != 2 or any(isinstance(a, ProductDensity) for a in self.axes):
+            raise ValueError("a product density needs exactly two one-dimensional axis densities")
+
 
 @dataclass(frozen=True)
 class BarenblattProfile:

@@ -21,13 +21,13 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainEscapeError
 from .fields import (
     TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
 )
 from .grids import GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
-from .particles import ParticleEnsemble, Trajectory, simulate, stable_dt, step_count
+from .particles import ParticleEnsemble, Trajectory, simulate, step_plan
 from .reference import BarenblattProfile
 from .transport import w2_1d_positions, w2_1d_refined
 
@@ -131,25 +131,29 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
         kernel = cfg.kernel_spec()
         model = cfg.energy_model()
         quad = cfg.quadrature_spec()
+        initial = cfg.initial_ensemble()
         if cfg.solver == "particle":
-            initial = cfg.initial_ensemble()
-            traj = simulate(
-                initial,
-                kernel,
-                model,
-                T=cfg.T,
-                dt=cfg.dt,
-                quad=quad,
-                integrator=cfg.integrator,
-                record_every=cfg.record_every,
-            )
-            write_trajectory_csv(traj, out / "trajectory.csv")
-            write_diagnostics_csv(traj, out / "diagnostics.csv")
+            try:
+                traj = simulate(
+                    initial,
+                    kernel,
+                    model,
+                    T=cfg.T,
+                    dt=cfg.dt,
+                    quad=quad,
+                    integrator=cfg.integrator,
+                    record_every=cfg.record_every,
+                )
+            except DomainEscapeError as exc:
+                traj = exc.partial  # the snapshots before the escape, written by the finally clause
+                raise
+            finally:
+                if traj is not None:
+                    write_trajectory_csv(traj, out / "trajectory.csv")
+                    write_diagnostics_csv(traj, out / "diagnostics.csv")
             manifest["invariants"] = particle_invariants(traj, kernel.family)
-            dt = cfg.dt if cfg.dt is not None else stable_dt(kernel, model)
-            manifest["dt"] = cfg.T / step_count(cfg.T, dt)  # the step simulate integrates
+            manifest["dt"] = step_plan(cfg.T, cfg.dt, cfg.record_every, kernel, model)[1]
         else:
-            initial = cfg.initial_ensemble()
             chain = run_jko(
                 initial.positions[:, 0],
                 kernel,
@@ -289,7 +293,7 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     step_label = cfg.tau if cfg.solver == "jko" else (cfg.dt if cfg.dt is not None else "auto")
     quad = cfg.quadrature_spec()
     for (eps, n), result in results.items():
-        kernel = cfg.kernel_spec(eps=eps)
+        kernel = cfg.kernel_spec().with_eps(eps)
         w2_init, z_l1, fi = 0.0, float("nan"), float("nan")
         if cfg.solver == "particle":
             traj = result.trajectory

@@ -11,6 +11,7 @@ from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
 from blobflow.grids import Grid, GridField, QuadratureSpec, read_field_csv, write_field_csv
+from blobflow.kernels import MollifierSpec
 from blobflow.runner import converge, execute, read_trajectory_csv
 
 
@@ -60,6 +61,25 @@ def test_validation_rejects_unknown_keys_and_entropy_bump():
         ({"quadrature": {"pad_factor": 2}}, "pad_factor"),  # padding is the kernel's support radius
         ({"quadrature": {"h_over_esp": 0.25}}, "h_over_esp"),
         ({"seed": 0}, "seed"),  # every sampler is deterministic
+        # every section is one constructor's keyword arguments: a typo is not a default
+        ({"kernel": {"famly": "bump", "eps": 0.2, "d": 1}}, "famly"),
+        ({"kernel": {"family": "gaussian", "eps": 0.2, "d": 1.5}}, "integer 1 or 2"),
+        ({"energy": {"kind": "power", "exponent": 1.5}}, "exponent"),
+        ({"energy": {"kind": "power", "m": 2.0, "neg_prime_calls": 0}}, "neg_prime_calls"),
+        ({"initial": {"kind": "quantile", "density": {"kind": "barenblatt", "t_0": 0.25}}}, "t_0"),
+        ({"initial": {"kind": "quantile", "densty": {"kind": "gaussian"}}}, "densty"),
+        ({"initial": {"kind": "sobol", "density": {"kind": "uniform"}}}, "sampler kind"),
+        ({"initial": {"kind": "quantile", "density": {"kind": "cauchy"}}}, "density kind"),
+        ({"initial": {"kind": "uniform_grid", "density": {"kind": "gaussian"}}}, "uniform_grid"),
+        ({"initial": {"kind": "quantile", "density": {"kind": "product", "axes": [{}, {}]}}, "n_particles": 9},
+         "does not match kernel d=1"),
+        ({"kernel": {"family": "gaussian", "eps": 0.2, "d": 2}, "n_particles": 8,
+          "initial": {"kind": "quantile", "density": {"kind": "product", "axes": [{}, {}]}}}, "square"),
+        ({"kernel": {"family": "gaussian", "eps": 0.2, "d": 2}, "n_particles": 16,
+          "initial": {"density": {"kind": "product", "axes": [{"kind": "product", "axes": [{}, {}]}, {}]}}},
+         "one-dimensional axis"),
+        ({"quadrature": {"domain": [[3.0, -3.0], [0, 1]]}}, "lo < hi"),
+        ({"quadrature": {"domain": [[-3.0, 3.0], [0, 1]]}}, "domain gives 2 axes, kernel d=1"),
     ],
 )
 def test_validation_rejects_removed_and_misspelt_knobs(extra, key):
@@ -74,6 +94,8 @@ def test_readme_schema_lists_exactly_the_config_knobs():
     schema = json.loads(re.sub(r"//[^\n]*", "", block))
     assert list(schema) == [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert set(schema["quadrature"]) == {f.name for f in dataclasses.fields(QuadratureSpec)}
+    assert set(schema["kernel"]) == {f.name for f in dataclasses.fields(MollifierSpec) if f.init}
+    assert set(schema["energy"]) == {f.name for f in dataclasses.fields(EnergyModel) if f.init}
     ExperimentConfig.from_dict(schema)  # the documented example validates
 
 
@@ -153,6 +175,31 @@ def test_domain_escape_keeps_its_traceback(tmp_path):
     assert json.loads((tmp_path / "f" / "manifest.json").read_text())["traceback"] == manifest["traceback"]
     assert "DomainEscapeError" in manifest["traceback"]
     assert "in simulate" in manifest["traceback"]
+
+
+def test_domain_escape_keeps_the_snapshots_before_it(tmp_path):
+    # same escape as above: the snapshots at t = 0 and t = 0.005 precede step 8
+    cfg = particle_config(tmp_path / "f", quadrature={"domain": [[-3.05, 3.05]]})
+    manifest = execute(ExperimentConfig.from_dict(cfg)).manifest
+    assert manifest["error"] and manifest["traceback"]
+    traj = (tmp_path / "f" / "trajectory.csv").read_text().splitlines()
+    assert len(traj) == 1 + 2 * 8
+    assert read_trajectory_csv(tmp_path / "f" / "trajectory.csv").times().tolist() == [0.0, 0.005]
+    assert len((tmp_path / "f" / "diagnostics.csv").read_text().splitlines()) == 1 + 2
+    on_disk = json.loads((tmp_path / "f" / "manifest.json").read_text())
+    assert on_disk["error"] == manifest["error"] and on_disk["traceback"] == manifest["traceback"]
+
+
+def test_integer_eps_and_m_run_the_float_experiment(tmp_path):
+    spelt = {
+        "int": ({"family": "gaussian", "eps": 1, "d": 1}, {"kind": "power", "m": 3}),
+        "float": ({"family": "gaussian", "eps": 1.0, "d": 1}, {"kind": "power", "m": 3.0}),
+    }
+    for name, (kernel, energy) in spelt.items():
+        cfg = particle_config(tmp_path / name, kernel=kernel, energy=energy, dt=None, record_every=1)
+        assert execute(ExperimentConfig.from_dict(cfg)).ok
+    for artifact in ("trajectory.csv", "diagnostics.csv"):
+        assert (tmp_path / "int" / artifact).read_bytes() == (tmp_path / "float" / artifact).read_bytes()
 
 
 def test_manifest_records_the_integrated_step(tmp_path):

@@ -8,6 +8,7 @@ from blobflow.errors import CoverageError
 from blobflow.fields import (
     TestFunction,
     _time_residuals,
+    error_term_grid,
     error_term_z,
     local_weak_form_residual,
     mollify,
@@ -89,6 +90,20 @@ def test_error_term_bound_and_pointwise():
             rep = error_term_z(ens, kernel, phi, grid)
             assert rep.l1_norm <= eps * phi.sup_hess() * unit_m1(kernel) * (1 + 1e-6)
             assert rep.pointwise_ok
+
+
+@pytest.mark.parametrize("family, d", [("gaussian", 1), ("bump", 1), ("gaussian", 2), ("bump", 2)])
+def test_error_term_grid_is_the_lattice_cropped_to_the_kernel_reach(family, d):
+    rng = np.random.default_rng(7)
+    ens = ParticleEnsemble(rng.normal(scale=0.5, size=(9, d)))
+    kernel = MollifierSpec(family, d, 0.3)
+    phi = TestFunction("gaussian_bump", np.full(d, 0.4), 1.0)
+    grid = error_term_grid(ens.positions, kernel, phi, QuadratureSpec())
+    reach = kernel.padding_radius()
+    extent = np.ptp(ens.positions, axis=0) + 2 * reach
+    assert np.all(grid.upper() - grid.origin <= extent + 2 * grid.spacing)
+    full = error_term_z(ens, kernel, phi, _grid_about(ens.positions, kernel, phi))
+    assert error_term_z(ens, kernel, phi, grid).l1_norm == pytest.approx(full.l1_norm, rel=1e-12)
 
 
 def test_error_term_coverage_error():

@@ -216,3 +216,10 @@ def test_flow_interchange_uses_the_chain_quadrature():
     rep = flow_interchange_diagnostic(chain)
     # on the default eps/4 grid instead the two sums sit ~0.9 % apart
     assert rep.sum_d == pytest.approx(sum(r.fi_term for r in chain.records), rel=1e-10)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_run_jko_refuses_a_nonpositive_horizon(T):
+    # step_count used to round a horizon T <= 0 up to one step
+    with pytest.raises(ValueError, match="must be positive"):
+        run_jko(np.linspace(0.0, 1.0, 8), K, M2, tau=1e-3, T=T)

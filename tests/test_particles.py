@@ -149,6 +149,13 @@ def test_validated_record_interval_is_the_one_run(T, dt, n):
     assert len(traj.snapshots) == 2 and traj.times()[-1] == pytest.approx(T, rel=1e-15)
 
 
+@pytest.mark.parametrize("dt", [-1e-3, 0.0])
+def test_simulate_refuses_a_nonpositive_step(dt):
+    # dt=-1e-3 used to run one step of size T, dt=0 to divide by zero
+    with pytest.raises(ValueError, match="must be positive"):
+        simulate(ParticleEnsemble(np.array([0.0, 0.5])), K_G, M2, T=0.01, dt=dt)
+
+
 def test_pinned_domain_escape_detected():
     quad = QuadratureSpec(domain=((-1.0, 1.0),))
     ens = ParticleEnsemble(np.array([0.999]))
