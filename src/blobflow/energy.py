@@ -106,11 +106,12 @@ class EnergyModel:
 def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid) -> np.ndarray:
     """(1/N) sum_j V_eps(. - x_j) sampled on the grid nodes, flat (G,).
 
-    The single particle->grid deposit: the velocity, the energy and the
-    gridded reconstructions in ``fields`` all build V_eps * rho^N here.
+    The particle->grid deposit of the energy and the gridded reconstructions
+    in ``fields``: each particle adds V_eps onto the nodes within its reach.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    return value_on_pairs(kernel, grid.nodes()[None, :, :] - pos[:, None, :]).mean(axis=0)
+    win = grid.window(pos, kernel.padding_radius())
+    return win.deposit(value_on_pairs(kernel, win.diff)) / len(pos)
 
 
 def regularized_energy(

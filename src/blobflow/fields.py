@@ -142,16 +142,17 @@ def error_term_z(
     """Commutator error z = V_eps*(rho grad phi) - (grad phi) V_eps*rho."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    nodes = grid.nodes()
     pos = ens.positions
-    vker = value_on_pairs(kernel, nodes[None, :, :] - pos[:, None, :])  # (N, G)
-    v = vker.mean(axis=0)  # V_eps * rho^N, the mollified_density deposit
+    win = grid.window(pos, kernel.padding_radius())
+    vker = value_on_pairs(kernel, win.diff)  # (N, W^d)
+    v = win.deposit(vker) / ens.n  # V_eps * rho^N, as mollified_density deposits it
     gp_part = phi.grad(pos)  # (N,) or (N, d)
-    gp_node = phi.grad(nodes)  # (G,) or (G, d)
+    gp_node = phi.grad(grid.nodes())  # (G,) or (G, d)
     if ens.d == 1:
         gp_part = gp_part[:, None]
         gp_node = gp_node[:, None]
-    z = np.einsum("ng,nd->gd", vker, gp_part) / ens.n - v[:, None] * gp_node
+    carried = np.stack([win.deposit(vker * g[:, None]) for g in gp_part.T], axis=-1)  # V_eps * (rho grad phi)
+    z = carried / ens.n - v[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
     l1 = float(np.dot(grid.trapezoid_weights(), znorm))
     bound = kernel.eps * phi.sup_hess() * unit_m1(kernel)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,23 @@ class Grid:
             per_axis.append(w)
         return reduce(np.multiply.outer, per_axis).ravel()
 
+    def window(self, points: np.ndarray, reach: float) -> "Window":
+        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n, d = pts.shape
+        c = int(np.ceil(reach / self.spacing))
+        idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
+        off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
+        on_grid = (idx >= 0) & (idx < np.asarray(self.shape)[:, None])
+
+        def box(a):  # axis k's (N, W) values laid along axis k of the (N, W, ..., W) box, row-major
+            return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
+
+        lin = np.ravel_multi_index(tuple(box(idx)), self.shape, mode="clip")
+        near = reduce(np.logical_and, box(on_grid)) & (reduce(np.add, box(off * off)) <= reach * reach)
+        diff = np.stack(np.broadcast_arrays(*box(off)), axis=-1)
+        return Window(lin.reshape(n, -1), diff.reshape(n, -1, d), near.reshape(n, -1), prod(self.shape))
+
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -71,6 +89,29 @@ class Grid:
         lo = self.origin + margin - slack
         hi = self.upper() - margin + slack
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
+
+
+@dataclass(frozen=True)
+class Window:
+    """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
+
+    Only pairs flagged in ``near`` count: the node is on the grid and within
+    reach of the point.  A box may overhang the grid's edge; its nodes there
+    are clipped to an edge index and deposit and read nothing.
+    """
+
+    lin: np.ndarray  # (N, W^d) flat node indices into the grid's row-major nodes
+    diff: np.ndarray  # (N, W^d, d) node minus point
+    near: np.ndarray  # (N, W^d) True where the node is on the grid and within reach
+    size: int  # G, the grid's node count
+
+    def deposit(self, values: np.ndarray) -> np.ndarray:
+        """Flat (G,) sums of the (N, W^d) pair values over the points, per node."""
+        return np.bincount(self.lin.ravel(), weights=(values * self.near).ravel(), minlength=self.size)
+
+    def gather(self, field: np.ndarray) -> np.ndarray:
+        """The flat (G,) field read at every pair's node, (N, W^d); zero for pairs that do not count."""
+        return field[self.lin] * self.near
 
 
 def lattice_nodes(axes) -> np.ndarray:

@@ -81,16 +81,16 @@ class KernelMoments:
 def _unit_value_r2(family: str, d: int, r2: np.ndarray) -> np.ndarray:
     if family == "gaussian":
         return _INV_SQRT_2PI ** d * np.exp(-0.5 * r2)
-    c = _bump_normalisation(d)
-    return c * np.maximum(1.0 - r2, 0.0) ** 3
+    t = np.maximum(1.0 - r2, 0.0)
+    return _bump_normalisation(d) * (t * t * t)
 
 
 def _unit_grad_factor_r2(family: str, d: int, r2: np.ndarray) -> np.ndarray:
     """g with grad V_1(u) = u * g(|u|^2)."""
     if family == "gaussian":
         return -(_INV_SQRT_2PI ** d) * np.exp(-0.5 * r2)
-    c = _bump_normalisation(d)
-    return -6.0 * c * np.maximum(1.0 - r2, 0.0) ** 2
+    t = np.maximum(1.0 - r2, 0.0)
+    return -6.0 * _bump_normalisation(d) * (t * t)
 
 
 def _radial_integral(profile, d, upper):

@@ -6,9 +6,12 @@ velocity field
 
     v_i = - int grad V_eps(x_i - y) F'( (1/N) sum_j V_eps(y - x_j) ) dy,
 
-evaluated by trapezoid quadrature on one shared grid per evaluation: the
-mollified density is built once on the grid (O(N G)) and every particle
-integrates against it (O(N G)), rather than re-quadrating per particle.
+evaluated by trapezoid quadrature on one shared grid per evaluation.  V_eps
+vanishes beyond its reach R (the bump support, the gaussian truncation), so
+each particle touches only the nodes within R, found in its box of
+W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``): the mollified density
+is deposited from those pairs and every particle integrates against it over
+the same pairs, O(N W^d) time and memory however large the grid.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -20,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import EnergyModel, energy_on_grid, mollified_density
+from .energy import EnergyModel, energy_on_grid
 from .errors import CoverageError, DomainEscapeError, UnsupportedDensityError
 from .grids import QuadratureSpec
-from .kernels import MollifierSpec, grad_on_pairs, self_convolution
+from .kernels import MollifierSpec, grad_on_pairs, self_convolution, value_on_pairs
 
 INTEGRATORS = ("euler", "heun", "rk4")
 
@@ -81,14 +84,20 @@ class Trajectory:
 
 
 def velocity_on_grid(positions: np.ndarray, kernel: MollifierSpec, model: EnergyModel, grid) -> np.ndarray:
-    """Blob velocities against a caller-pinned quadrature grid."""
+    """Blob velocities against a caller-pinned quadrature grid.
+
+    One window serves the deposit and the gather.  F' is read only where
+    the deposit is nonzero: nothing else is gathered, and the entropy's F'
+    is undefined at zero density.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    nodes = grid.nodes()
-    weights = grid.trapezoid_weights()
-    v_tilde = mollified_density(pos, kernel, grid)
-    fp = model.f_prime(v_tilde)
-    gv = grad_on_pairs(kernel, pos[:, None, :] - nodes[None, :, :])  # (N, G, d)
-    return -np.einsum("ngd,g->nd", gv, weights * fp)
+    win = grid.window(pos, kernel.padding_radius())
+    v_tilde = win.deposit(value_on_pairs(kernel, win.diff)) / len(pos)
+    wf = np.zeros_like(v_tilde)
+    held = v_tilde != 0.0
+    wf[held] = grid.trapezoid_weights()[held] * model.f_prime(v_tilde[held])
+    # grad V_eps(node - x) = -grad V_eps(x - node)
+    return np.einsum("nwd,nw->nd", grad_on_pairs(kernel, win.diff), win.gather(wf))
 
 
 def velocity(

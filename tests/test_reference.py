@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import solve_banded
 
 from blobflow.energy import EnergyModel
 from blobflow.grids import Grid, GridField
@@ -117,6 +118,43 @@ def test_fd_oracle_tracks_profile_coarse():
     x = final.grid.axes()[0]
     err = final.integrate(np.abs(final.values - prof.density(0.25, x)))
     assert err <= 1e-3
+
+
+def _cold_start_fd(u, m, lam, n_steps):
+    """The oracle's implicit-Euler / Newton march, each solve started from the last step's field."""
+    ab = np.zeros((3, u.size))
+    for _ in range(n_steps):
+        un, v = u, u.copy()
+        for _ in range(50):
+            vc = np.maximum(v, 0.0)
+            vm, dvm = vc ** m, m * vc ** (m - 1.0)
+            res = v - un
+            res[1:-1] -= lam * (vm[2:] - 2.0 * vm[1:-1] + vm[:-2])
+            res[0], res[-1] = v[0], v[-1]
+            if np.max(np.abs(res)) < 1e-12:
+                break
+            ab[1, :] = 1.0 + 2.0 * lam * dvm
+            ab[0, 1:] = -lam * dvm[1:]
+            ab[2, :-1] = -lam * dvm[:-1]
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 1] = ab[2, -2] = 0.0
+            v = v - solve_banded((1, 1), ab, res)
+        else:
+            raise AssertionError("cold-start Newton did not converge")
+        u = v
+    return u
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_fd_oracle_warm_start_matches_cold_start(m):
+    # extrapolated starts change only where Newton stops inside its 1e-12 residual
+    prof = BarenblattProfile(m=m, d=1, t0=0.5)
+    h, T, n_steps = 1 / 128, 0.05, 200
+    grid = Grid(np.array([-3.0]), h, (int(round(6.0 / h)) + 1,))
+    initial = GridField(grid, prof.density(0.0, grid.axes()[0]))
+    warm = fd_pme_oracle(initial, m=m, T=T, dt=T / n_steps)[-1][1].values
+    cold = _cold_start_fd(initial.values.copy(), m, (T / n_steps) / h ** 2, n_steps)
+    assert np.max(np.abs(warm - cold)) <= 1e-10
 
 
 @pytest.mark.parametrize("m,tol", [(1.5, 5e-3), (3.0, 5e-3)])

@@ -1,0 +1,189 @@
+"""The windowed particle<->grid core against the dense pair oracle.
+
+Every deposit and gather touches only each particle's window of
+W = 2 ceil(R/h) + 2 nodes per axis, R the kernel's reach.  The oracle here
+builds the dense (N, G, d) displacement tensor over every particle and
+grid node instead, drops the pairs beyond R (the truncation the window
+applies), and reads F' only where the deposit is nonzero.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blobflow import energy, particles
+from blobflow.energy import EnergyModel, mollified_density
+from blobflow.fields import TestFunction, error_term_grid, error_term_z
+from blobflow.grids import QuadratureSpec
+from blobflow.jko import _step_grid
+from blobflow.kernels import MollifierSpec, grad_on_pairs, value_on_pairs
+from blobflow.particles import ParticleEnsemble, velocity_on_grid
+
+TOL = 1e-12
+
+
+def dense_pairs(pos, kernel, grid, reach):
+    diff = grid.nodes()[None, :, :] - pos[:, None, :]  # (N, G, d)
+    return diff, np.sum(diff * diff, axis=-1) <= reach * reach
+
+
+def dense_density(pos, kernel, grid, reach=None):
+    """The (N, G) kernel matrix averaged over the particles, pairs beyond reach dropped."""
+    diff, near = dense_pairs(pos, kernel, grid, kernel.padding_radius() if reach is None else reach)
+    return (value_on_pairs(kernel, diff) * near).mean(axis=0)
+
+
+def dense_velocity(pos, kernel, model, grid):
+    """-sum_g grad V_eps(x_n - g) w_g F'(v_g) over the whole grid, and its scale sum_g |grad V| |w F'|."""
+    diff, near = dense_pairs(pos, kernel, grid, kernel.padding_radius())
+    v = (value_on_pairs(kernel, diff) * near).mean(axis=0)
+    fp = np.zeros_like(v)
+    held = v != 0.0
+    fp[held] = model.f_prime(v[held])
+    wfp = grid.trapezoid_weights() * fp
+    gv = grad_on_pairs(kernel, -diff) * near[..., None]  # (N, G, d)
+    vel = -np.einsum("ngd,g->nd", gv, wfp)
+    scale = np.einsum("ng,g->n", np.sqrt(np.sum(gv * gv, axis=-1)), np.abs(wfp))
+    return vel, scale
+
+
+def dense_error_term(pos, kernel, phi, grid):
+    """z on the grid from the dense (N, G) kernel matrix, and the sup of its two parts."""
+    diff, near = dense_pairs(pos, kernel, grid, kernel.padding_radius())
+    vker = value_on_pairs(kernel, diff) * near
+    gp_part = phi.grad(pos).reshape(len(pos), -1)
+    gp_node = phi.grad(grid.nodes()).reshape(grid.nodes().shape[0], -1)
+    carried = np.einsum("ng,nd->gd", vker, gp_part) / len(pos)
+    held = vker.mean(axis=0)[:, None] * gp_node
+    return carried - held, np.max(np.abs(carried)) + np.max(np.abs(held))
+
+
+MODELS = {
+    "power": st.floats(1.2, 3.0).map(lambda m: EnergyModel("power", m)),
+    "entropy": st.just(EnergyModel("entropy")),
+}
+
+
+@st.composite
+def cases(draw, grid_kinds=("auto", "slack", "pinned")):
+    """A kernel, an energy, particles and a grid, the way the solvers build them.
+
+    ``slack`` is the JKO step grid, evaluated at line-search trial points
+    that wander past it, so windows overhang the grid's edge; ``pinned`` is
+    a fixed box with one particle exactly one kernel reach from its edge.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    kernel = MollifierSpec(draw(st.sampled_from(["gaussian", "bump"])), d, draw(st.floats(0.2, 0.5)))
+    model = draw(st.sampled_from(sorted(MODELS)).flatmap(MODELS.get))
+    n = draw(st.integers(1, 8 if d == 2 else 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(grid_kinds))
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-1.0, 1.0, size=(n, d))
+    reach = kernel.padding_radius()
+    quad = QuadratureSpec()
+    if kind == "auto":
+        grid = quad.grid_for(pos, kernel)
+    elif kind == "slack":
+        slack = draw(st.sampled_from([1, 2, 3])) * kernel.eps
+        grid = _step_grid(pos[:, 0], kernel, quad, slack) if d == 1 else quad.grid_for(
+            np.vstack([pos - slack, pos + slack]), kernel)
+        pos = pos + rng.uniform(-1.0, 1.0, size=pos.shape) * (slack + reach)
+    else:
+        lo = pos.min(axis=0) - reach
+        lo[1:] -= rng.uniform(0.0, 0.5, size=d - 1)
+        hi = pos.max(axis=0) + reach + rng.uniform(0.0, 0.5, size=d)
+        quad = QuadratureSpec(domain=np.stack([lo, hi], axis=1).tolist())
+        grid = quad.grid_for(pos, kernel)
+    return kernel, model, pos, grid, quad
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_windowed_deposit_matches_dense(case):
+    kernel, _, pos, grid, _ = case
+    dense = dense_density(pos, kernel, grid)
+    assert np.max(np.abs(mollified_density(pos, kernel, grid) - dense)) <= TOL * np.max(dense)
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_windowed_velocity_matches_dense(case):
+    kernel, model, pos, grid, _ = case
+    vel, scale = dense_velocity(pos, kernel, model, grid)
+    err = np.sqrt(np.sum((velocity_on_grid(pos, kernel, model, grid) - vel) ** 2, axis=1))
+    assert np.all(err <= TOL * scale)
+    assert model.neg_prime_calls == 0
+
+
+@settings(max_examples=100)
+@given(cases(grid_kinds=("auto", "pinned")), st.sampled_from(["gaussian_bump", "poly_bump"]), st.floats(0.3, 1.5))
+def test_windowed_error_term_matches_dense(case, family, width):
+    kernel, _, pos, _, quad = case
+    phi = TestFunction(family, np.full(kernel.d, 0.2), width)
+    grid = error_term_grid(pos, kernel, phi, quad) if quad.domain is None else quad.grid_for(pos, kernel)
+    z, scale = dense_error_term(pos, kernel, phi, grid)
+    rep = error_term_z(ParticleEnsemble(pos), kernel, phi, grid)
+    assert np.max(np.abs(rep.field.reshape(z.shape) - z)) <= TOL * scale
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_window_holds_exactly_the_grid_nodes_within_reach(case):
+    kernel, _, pos, grid, _ = case
+    reach = kernel.padding_radius()
+    win = grid.window(pos, reach)
+    _, near = dense_pairs(pos, kernel, grid, reach)
+    rows = np.broadcast_to(np.arange(len(pos))[:, None], win.lin.shape)
+    counted = np.zeros_like(near)
+    counted[rows[win.near], win.lin[win.near]] = True
+    assert np.array_equal(counted, near) and np.count_nonzero(win.near) == np.count_nonzero(near)
+    assert np.array_equal(win.diff[win.near], (grid.nodes()[None] - pos[:, None])[rows[win.near], win.lin[win.near]])
+
+
+def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
+    # beyond 8 eps the unit gaussian is below exp(-32) of its peak
+    kernel = MollifierSpec("gaussian", 1, 0.1)
+    pos = np.linspace(-1.0, 1.0, 41)[:, None]
+    grid = QuadratureSpec().grid_for(pos, kernel)
+    full = dense_density(pos, kernel, grid, reach=np.inf)
+    assert np.max(np.abs(mollified_density(pos, kernel, grid) - full)) <= 1e-13 * np.max(full)
+
+
+def test_entropy_reads_f_prime_only_where_the_deposit_is_nonzero():
+    # the JKO step grid's outer ring lies beyond every particle's reach
+    kernel, model = MollifierSpec("gaussian", 1, 0.1), EnergyModel("entropy")
+    x = np.linspace(-0.5, 0.5, 17)
+    grid = _step_grid(x, kernel, QuadratureSpec(), slack=3 * kernel.eps)
+    assert np.any(mollified_density(x[:, None], kernel, grid) == 0.0)
+    assert np.all(np.isfinite(velocity_on_grid(x[:, None], kernel, model, grid)))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
+    kernel = MollifierSpec(family, d, 0.25)
+    model = EnergyModel("power", 2.0)
+    side = np.linspace(-0.5, 0.5, 3)
+    pos = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    shapes = []
+
+    def recording(fn):
+        def wrapped(spec, diff):
+            shapes.append(np.shape(diff))
+            return fn(spec, diff)
+        return wrapped
+
+    for mod in (particles, energy):
+        monkeypatch.setattr(mod, "value_on_pairs", recording(value_on_pairs), raising=False)
+        monkeypatch.setattr(mod, "grad_on_pairs", recording(grad_on_pairs), raising=False)
+    seen = []
+    for half in (3.0, 6.0):
+        quad = QuadratureSpec(domain=[[-half, half]] * d)
+        shapes.clear()
+        velocity_on_grid(pos, kernel, model, quad.grid_for(pos, kernel))
+        seen.append(sorted(set(shapes)))
+    w = 2 * int(np.ceil(kernel.padding_radius() / QuadratureSpec().spacing(kernel))) + 2
+    assert seen[0] == [(len(pos), w ** d, d)]
+    assert seen[1] == seen[0]
+
