@@ -5,7 +5,7 @@ solutions, and convergence diagnostics."""
 from .energy import EnergyModel, regularized_energy
 from .grids import Grid, GridField, QuadratureSpec
 from .jko import JkoChain, JkoState, boltzmann_entropy, run_jko
-from .kernels import KernelMoments, MollifierSpec, eval_grad_v, eval_v, kernel_moments
+from .kernels import KernelMoments, MollifierSpec, kernel_moments
 from .particles import ParticleEnsemble, Trajectory, initial_sampler, simulate, velocity
 from .reference import BarenblattProfile, fd_pme_oracle, heat_solution, lambda_convexity
 from .transport import DistanceReport, m1, m2, w1_1d, w2_1d, w2_assignment
@@ -26,8 +26,6 @@ __all__ = [
     "QuadratureSpec",
     "Trajectory",
     "boltzmann_entropy",
-    "eval_grad_v",
-    "eval_v",
     "fd_pme_oracle",
     "heat_solution",
     "initial_sampler",

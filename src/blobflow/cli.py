@@ -14,7 +14,6 @@ import sys
 from .acceptance import CRITERIA, run_criteria
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .fields import TestFunction
 from .runner import compare_trajectories, converge, diagnose, emit_reference, execute
 
 
@@ -34,10 +33,8 @@ def _cmd_run(args, solver):
 
 
 def _cmd_diagnose(args):
-    phi = None
-    if args.phi_center is not None or args.phi_width is not None:
-        phi = TestFunction(args.phi_family, [args.phi_center or 0.0], args.phi_width or 1.0)
-    paths = diagnose(args.run_dir, phi)
+    given = {"family": args.phi_family, "center": args.phi_center, "width": args.phi_width}
+    paths = diagnose(args.run_dir, {k: v for k, v in given.items() if v is not None})
     print(json.dumps(paths, indent=2))
     return 0
 
@@ -100,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="error-term and weak-form suites on a stored run")
     p.add_argument("run_dir")
     p.add_argument("--phi-family", default="gaussian_bump", choices=["gaussian_bump", "poly_bump"])
-    p.add_argument("--phi-center", type=float, default=None)
+    p.add_argument("--phi-center", type=float, nargs="+", default=None, help="one coordinate per axis")
     p.add_argument("--phi-width", type=float, default=None)
     p.set_defaults(func=_cmd_diagnose)
 

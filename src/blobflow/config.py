@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 from .energy import EnergyModel
@@ -22,6 +22,8 @@ from .reference import BarenblattProfile, GaussianDensity, ProductDensity, Unifo
 
 OUTPUT_ROOT_ENV = "BLOBFLOW_OUTPUT_ROOT"
 ENERGY_DEFAULTS = {"kind": "power", "m": 2.0}
+# the top-level keys only one solver reads; a config for the other solver must leave them at their defaults
+SOLVER_KEYS = {"particle": ("dt", "integrator", "record_every"), "jko": ("tau",)}
 
 
 @dataclass
@@ -74,7 +76,10 @@ class ExperimentConfig:
         kernel = build("kernel", self.kernel_spec)
         model = build("energy", self.energy_model)
         quad = build("quadrature", self.quadrature_spec)
-        ens = build("initial", self.initial_ensemble)
+        # a barenblatt without its own m takes the energy section's; when that section is
+        # already reported, check the initial section against the default m instead
+        initial = self if model is not None else replace(self, energy=ENERGY_DEFAULTS)
+        ens = build("initial", initial.initial_ensemble)
         if kernel is not None and model is not None:
             if model.kind == "entropy" and kernel.family == "bump":
                 errors.append(
@@ -85,19 +90,26 @@ class ExperimentConfig:
             errors.append(f"initial: density dimension {ens.d} does not match kernel d={kernel.d}")
         if kernel is not None and quad is not None and quad.domain is not None and len(quad.domain) != kernel.d:
             errors.append(f"quadrature: domain gives {len(quad.domain)} axes, kernel d={kernel.d}")
-        if self.solver not in ("particle", "jko"):
+        if self.solver not in SOLVER_KEYS:
             errors.append(f"solver: unknown solver {self.solver!r}")
+        else:
+            errors += [
+                f"{key}: only the {owner} solver reads it; leave it out of a {self.solver} config"
+                for owner, keys in SOLVER_KEYS.items() if owner != self.solver
+                for key in keys if getattr(self, key) != self.__dataclass_fields__[key].default
+            ]
         if not (isinstance(self.n_particles, int) and self.n_particles >= 1):
             errors.append(f"n_particles: need a positive integer, got {self.n_particles!r}")
         if not self.T > 0:
             errors.append(f"T: horizon must be positive, got {self.T}")
-        if self.integrator not in INTEGRATORS:
-            errors.append(f"integrator: choose from {INTEGRATORS}, got {self.integrator!r}")
-        if not (isinstance(self.record_every, int) and self.record_every >= 1):
-            errors.append(f"record_every: need a positive integer, got {self.record_every!r}")
-        elif self.solver == "particle" and self.T > 0 and kernel is not None and model is not None:
-            build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model))
-        if self.solver == "jko":
+        if self.solver != "jko":
+            if self.integrator not in INTEGRATORS:
+                errors.append(f"integrator: choose from {INTEGRATORS}, got {self.integrator!r}")
+            if not (isinstance(self.record_every, int) and self.record_every >= 1):
+                errors.append(f"record_every: need a positive integer, got {self.record_every!r}")
+            elif self.solver == "particle" and self.T > 0 and kernel is not None and model is not None:
+                build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model))
+        else:
             if kernel is not None and kernel.d != 1:
                 errors.append("solver: the minimizing-movement solver is one-dimensional")
             if self.tau is None:

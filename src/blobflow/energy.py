@@ -84,17 +84,6 @@ class EnergyModel:
             raise EnergyDomainError("entropy F' is undefined at zero density")
         return np.log(x) + 1.0
 
-    def f_second(self, x):
-        """F''(x) = c x^{m-2}; requires x > 0 unless m >= 2."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "entropy":
-            if np.any(x <= 0.0):
-                raise EnergyDomainError("entropy F'' is undefined at zero density")
-            return 1.0 / x
-        if self.m < 2 and np.any(x <= 0.0):
-            raise EnergyDomainError(f"F'' diverges at zero density for m={self.m}")
-        return self.m * x ** (self.m - 2.0)
-
     def pressure(self, x):
         """P(x) = x F'(x) - F(x): x^m for power laws, x for the entropy."""
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -160,28 +149,3 @@ def convolve_field(field: GridField, kernel: MollifierSpec) -> GridField:
     vals = convolve(field.values, taps, mode="full", method=CONV_METHOD[d])
     # FFT round-off leaves tiny negatives where the true convolution is 0
     return GridField(Grid(field.grid.origin - nk * h, h, vals.shape), np.maximum(vals, 0.0))
-
-
-@dataclass(frozen=True)
-class NormBoundReport:
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def lm_norm_bound_check(rho0: GridField, kernel: MollifierSpec, model: EnergyModel) -> NormBoundReport:
-    """Check ||V_eps * rho0||_m^m <= (c2/c1) ||rho0||_m^m (Young contraction)."""
-    m = model.m if model.kind == "power" else 1.0
-    conv = convolve_field(rho0, kernel)
-    lhs = conv.integrate(conv.values ** m)
-    rhs = (model.c2 / model.c1) * rho0.integrate(rho0.values ** m)
-    return NormBoundReport(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs * (1.0 + 1e-6)))
-
-
-def young_initial_energy_bound(rho0: GridField, kernel: MollifierSpec, model: EnergyModel) -> NormBoundReport:
-    """Check (m-1) E_eps[rho0] <= ||rho0||_m^m for power laws."""
-    if model.kind != "power":
-        raise ValueError("the initial-energy Young bound is a power-law statement")
-    lhs = (model.m - 1.0) * regularized_energy(rho0, kernel, model)
-    rhs = rho0.integrate(rho0.values ** model.m)
-    return NormBoundReport(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs * (1.0 + 1e-6)))

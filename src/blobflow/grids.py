@@ -236,11 +236,3 @@ def write_field_csv(field: GridField, path) -> None:
         "extents": [int(n) for n in field.grid.shape],
     }
     Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def read_field_csv(path) -> GridField:
-    path = Path(path)
-    meta = json.loads(Path(str(path) + ".meta.json").read_text())
-    grid = Grid(np.asarray(meta["origin"]), meta["spacing"], tuple(meta["extents"]))
-    values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=grid.d, ndmin=1)
-    return GridField(grid, values.reshape(grid.shape))

@@ -145,26 +145,6 @@ def _unit_sup_hessian(family: str, d: int) -> float:
 # ---------------------------------------------------------------------------
 # scaled evaluation
 
-def _points(x, d):
-    x = np.asarray(x, dtype=float)
-    if d == 1:
-        return x[..., None]
-    if x.shape[-1] != d:
-        raise ValueError(f"points must have trailing axis {d}, got shape {x.shape}")
-    return x
-
-
-def eval_v(spec: MollifierSpec, x) -> np.ndarray:
-    """V_eps(x); x has trailing axis d (or is scalar/any shape when d=1)."""
-    return value_on_pairs(spec, _points(x, spec.d))
-
-
-def eval_grad_v(spec: MollifierSpec, x) -> np.ndarray:
-    """grad V_eps(x), odd in x; shape of x (d=1) or x's shape (d=2)."""
-    out = grad_on_pairs(spec, _points(x, spec.d))
-    return out[..., 0] if spec.d == 1 else out
-
-
 def kernel_moments(spec: MollifierSpec) -> KernelMoments:
     """Mass, second moment, sup norms and the gradient L1 norm of V_eps."""
     mass, _, m2_unit, l1g_unit = _unit_moments(spec.family, spec.d)

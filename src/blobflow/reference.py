@@ -164,11 +164,6 @@ def heat_solution(t: float, x, sigma2: float, d: int = 1):
     return np.exp(-0.5 * r2 / var) / (2.0 * np.pi * var) ** (d / 2.0)
 
 
-def gaussian_entropy(sigma2: float, d: int = 1) -> float:
-    """Boltzmann entropy of an isotropic gaussian: -(d/2) log(2 pi e sigma2)."""
-    return -0.5 * d * np.log(2.0 * np.pi * np.e * sigma2)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle for the local equation
 

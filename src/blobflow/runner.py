@@ -183,8 +183,13 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
 # ---------------------------------------------------------------------------
 # diagnostics on a stored trajectory
 
-def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
-    """Error-term and weak-form residual suites on a saved trajectory."""
+def diagnose(run_dir, phi: dict | None = None) -> dict:
+    """Error-term and weak-form residual suites on a saved trajectory.
+
+    phi holds TestFunction keyword arguments; the family defaults to
+    gaussian_bump, the centre to the mean of every recorded position, and
+    the width to 1.5 times their largest distance from it (at least 1).
+    """
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     cfg = ExperimentConfig.from_dict(manifest["config"])
@@ -192,11 +197,15 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
     model = cfg.energy_model()
     quad = cfg.quadrature_spec()
     traj = read_trajectory_csv(run_dir / "trajectory.csv")
-    if phi is None:
-        hull = np.concatenate([e.positions for _, e in traj.snapshots])
-        center = hull.mean(axis=0)
-        width = max(1.0, 1.5 * float(np.max(np.abs(hull - center))))
-        phi = TestFunction("gaussian_bump", center, width)
+    hull = np.concatenate([e.positions for _, e in traj.snapshots])
+    center = hull.mean(axis=0)
+    width = max(1.0, 1.5 * float(np.max(np.abs(hull - center))))
+    try:
+        phi = TestFunction(**{"family": "gaussian_bump", "center": center, "width": width, **(phi or {})})
+    except ValueError as exc:
+        raise ConfigError(f"test function: {exc}") from exc
+    if phi.d != hull.shape[1]:
+        raise ConfigError(f"test function: the centre has {phi.d} coordinates, the run is {hull.shape[1]}-dimensional")
 
     reps = [
         error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
@@ -208,7 +217,6 @@ def diagnose(run_dir, phi: TestFunction | None = None) -> dict:
     res = weak_form_residual(traj, kernel, model, phi, quad)
     write_csv(run_dir / "weak_residual.csv", "t,residual", [traj.times(), res])
 
-    hull = np.concatenate([e.positions for _, e in traj.snapshots])
     grid = quad.grid_for(hull, kernel)
     series = [(t, mollify(e, kernel, grid)) for t, e in traj.snapshots]
     local = local_weak_form_residual(series, model, phi)

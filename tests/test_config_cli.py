@@ -10,9 +10,9 @@ from blobflow.cli import main
 from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
-from blobflow.grids import Grid, GridField, QuadratureSpec, read_field_csv, write_field_csv
+from blobflow.grids import Grid, GridField, QuadratureSpec, write_field_csv
 from blobflow.kernels import MollifierSpec
-from blobflow.runner import converge, execute, read_trajectory_csv
+from blobflow.runner import converge, diagnose, execute, read_trajectory_csv
 
 
 def particle_config(out, **overrides):
@@ -29,6 +29,14 @@ def particle_config(out, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _read_field(path) -> GridField:
+    """A gridded field from its documented CSV (value last) and its .meta.json sidecar."""
+    meta = json.loads(Path(str(path) + ".meta.json").read_text())
+    grid = Grid(np.asarray(meta["origin"]), meta["spacing"], tuple(meta["extents"]))
+    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, -1]
+    return GridField(grid, values.reshape(grid.shape))
 
 
 def test_validation_reports_all_errors_at_once():
@@ -102,6 +110,7 @@ def test_readme_schema_lists_exactly_the_config_knobs():
 def test_tau_cap_message_carries_computed_cap():
     cfg = particle_config("x", solver="jko", tau=0.5)
     cfg.pop("dt")
+    cfg.pop("record_every")
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(cfg)
     assert "0.176" in str(err.value)
@@ -126,6 +135,7 @@ def test_execute_writes_artifacts_and_is_reproducible(tmp_path):
 def test_execute_jko_artifacts(tmp_path):
     cfg = particle_config(tmp_path / "j", solver="jko", tau=1e-3, T=0.005)
     cfg.pop("dt")
+    cfg.pop("record_every")
     result = execute(ExperimentConfig.from_dict(cfg))
     assert result.ok
     steps = (tmp_path / "j" / "jko_steps.csv").read_text().splitlines()
@@ -147,6 +157,7 @@ def test_negative_f_prime_fails_the_run(tmp_path, monkeypatch, solver):
     if solver == "jko":
         cfg.update(solver="jko", tau=1e-3)
         cfg.pop("dt")
+        cfg.pop("record_every")
     result = execute(ExperimentConfig.from_dict(cfg))
     assert result.manifest["status"] == "ok" and result.manifest["neg_prime_calls"] > 0
     assert result.manifest["invariants"]["neg_prime_free"] is False
@@ -257,7 +268,7 @@ def test_cli_compare(tmp_path):
 def test_cli_reference_roundtrip(tmp_path):
     out = tmp_path / "profile.csv"
     assert main(["reference", "--kind", "barenblatt", "--m", "2", "--t0", "1", "--spacing", "0.002", "--out", str(out)]) == 0
-    field = read_field_csv(out)
+    field = _read_field(out)
     assert field.mass() == pytest.approx(1.0, abs=1e-6)  # trapezoid kink error ~ h^2
     assert main(["reference", "--kind", "heat", "--sigma2", "1.0", "--t", "0.2", "--out", str(tmp_path / "h.csv")]) == 0
 
@@ -266,7 +277,7 @@ def test_field_csv_roundtrip(tmp_path):
     grid = Grid(np.array([-1.0, 0.0]), 0.5, (3, 4))
     field = GridField(grid, np.arange(12.0).reshape(3, 4))
     write_field_csv(field, tmp_path / "f.csv")
-    back = read_field_csv(tmp_path / "f.csv")
+    back = _read_field(tmp_path / "f.csv")
     np.testing.assert_array_equal(back.values, field.values)
     assert back.grid.shape == (3, 4)
     assert back.grid.spacing == 0.5
@@ -298,6 +309,7 @@ def test_cli_converge(tmp_path):
 def test_cli_converge_jko(tmp_path):
     cfg = particle_config(tmp_path / "jsweep", solver="jko", tau=1e-3, T=0.003, n_particles=16, sweep={"eps": [0.4, 0.2]})
     cfg.pop("dt")
+    cfg.pop("record_every")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["converge", "--config", str(path)]) == 0
@@ -320,3 +332,100 @@ def test_cli_accept_single(capsys):
     assert main(["accept", "--criterion", "6"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS criterion 6")
+
+
+def jko_config(out, **overrides):
+    cfg = particle_config(out, solver="jko", tau=1e-3)
+    cfg.pop("dt")
+    cfg.pop("record_every")
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("key, value", [("dt", 0.005), ("integrator", "euler"), ("record_every", 3)])
+def test_jko_config_refuses_particle_keys(key, value):
+    ExperimentConfig.from_dict(jko_config("x"))
+    with pytest.raises(ConfigError, match=rf"{key}: only the particle solver reads it"):
+        ExperimentConfig.from_dict(jko_config("x", **{key: value}))
+
+
+def test_jko_config_names_every_particle_key():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(jko_config("x", dt=0.005, integrator="euler", record_every=3))
+    assert all(f"{key}: only the particle solver" in str(err.value) for key in ("dt", "integrator", "record_every"))
+
+
+def test_particle_config_refuses_tau():
+    with pytest.raises(ConfigError, match="tau: only the jko solver reads it"):
+        ExperimentConfig.from_dict(particle_config("x", tau=1e-3))
+
+
+def test_manifest_echoes_of_both_solvers_revalidate(tmp_path):
+    # converge and diagnose rebuild configs from to_dict(), which carries every key
+    for cfg in (particle_config(tmp_path / "p"), jko_config(tmp_path / "j")):
+        ExperimentConfig.from_dict(ExperimentConfig.from_dict(cfg).to_dict())
+
+
+def test_invalid_energy_m_is_reported_once():
+    # the barenblatt takes its m from the energy section; only that section is at fault
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(particle_config("x", energy={"kind": "power", "m": 0.5}))
+    assert "energy: power-law exponent must exceed 1" in str(err.value)
+    assert "initial:" not in str(err.value)
+    # an error of the initial section's own still shows next to it
+    bad_t0 = {"kind": "quantile", "density": {"kind": "barenblatt", "t0": -1.0}}
+    with pytest.raises(ConfigError, match="initial: time offset must be positive"):
+        ExperimentConfig.from_dict(particle_config("x", energy={"kind": "power", "m": 0.5}, initial=bad_t0))
+    # an entropy energy leaves the profile's default m at 2
+    assert ExperimentConfig.from_dict(particle_config("x", energy={"kind": "entropy"})).initial_density().m == 2.0
+
+
+def _run_2d(tmp_path):
+    baren = {"kind": "barenblatt", "t0": 1.0}
+    cfg = particle_config(
+        tmp_path / "run2d",
+        kernel={"family": "gaussian", "eps": 0.3, "d": 2},
+        n_particles=16,
+        initial={"kind": "quantile", "density": {"kind": "product", "axes": [baren, baren]}},
+    )
+    assert execute(ExperimentConfig.from_dict(cfg)).ok
+    return tmp_path / "run2d"
+
+
+def _diagnosed(run) -> dict:
+    return {name: (run / name).read_bytes() for name in ("error_term.csv", "weak_residual.csv", "local_residual.csv")}
+
+
+def test_cli_diagnose_2d_centre(tmp_path):
+    run = _run_2d(tmp_path)
+    assert main(["diagnose", str(run), "--phi-center", "0.1", "-0.2", "--phi-width", "1.5"]) == 0
+    centred = _diagnosed(run)
+    diagnose(run, {"center": [0.1, -0.2], "width": 1.5})
+    assert _diagnosed(run) == centred
+    diagnose(run, {"center": [0.0, 0.0], "width": 1.5})
+    assert _diagnosed(run)["error_term.csv"] != centred["error_term.csv"]
+
+
+def test_cli_diagnose_width_only_on_a_2d_run(tmp_path):
+    run = _run_2d(tmp_path)
+    assert main(["diagnose", str(run), "--phi-width", "1.5"]) == 0
+    width_only = _diagnosed(run)
+    # a missing centre is the mean of the recorded positions, in the run's own dimension
+    traj = read_trajectory_csv(run / "trajectory.csv")
+    diagnose(run, {"center": np.concatenate([e.positions for _, e in traj.snapshots]).mean(axis=0), "width": 1.5})
+    assert _diagnosed(run) == width_only
+
+
+def test_cli_diagnose_refuses_a_centre_of_the_wrong_dimension(tmp_path, capsys):
+    run = _run_2d(tmp_path)
+    assert main(["diagnose", str(run), "--phi-center", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "1 coordinates" in err and "2-dimensional" in err
+
+
+def test_cli_diagnose_refuses_width_zero(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(particle_config(tmp_path / "run", n_particles=6)))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert main(["diagnose", str(tmp_path / "run"), "--phi-width", "0"]) == 2
+    assert "width must be positive" in capsys.readouterr().err

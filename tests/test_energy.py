@@ -3,25 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blobflow.energy import (
-    EnergyModel,
-    convolve_field,
-    lm_norm_bound_check,
-    regularized_energy,
-    young_initial_energy_bound,
-)
+from blobflow.energy import EnergyModel, convolve_field, regularized_energy
 from blobflow.errors import EnergyDomainError
 from blobflow.grids import Grid, GridField, QuadratureSpec
 from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble
-from blobflow.reference import BarenblattProfile
 
 
 def test_power_m2_closed_forms():
     model = EnergyModel("power", 2.0)
     assert model.f_eval(3.0) == 9.0
     assert model.f_prime(3.0) == 6.0
-    assert model.f_second(3.0) == 2.0
 
 
 def test_entropy_closed_forms():
@@ -31,12 +23,6 @@ def test_entropy_closed_forms():
     assert model.f_eval(0.0) == 0.0
     with pytest.raises(EnergyDomainError):
         model.f_prime(0.0)
-    with pytest.raises(EnergyDomainError):
-        model.f_second(0.0)
-
-
-def test_power_m15_second_derivative():
-    assert EnergyModel("power", 1.5).f_second(4.0) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_prime_at_zero_is_zero_for_power_laws():
@@ -85,21 +71,17 @@ def test_convexity_probe_bulk_random():
 
 @pytest.mark.parametrize("kind,m", [("power", 1.5), ("power", 2.0), ("power", 3.0), ("entropy", 1.0)])
 def test_derivatives_match_finite_differences(kind, m):
-    # chained oracle: f' against differences of f, f'' against differences of f'
+    # oracle: f' against differences of f
     model = EnergyModel(kind, m)
     xs = np.linspace(0.01, 10.0, 57)
     h = 1e-5
     fp = (model.f_eval(xs + h) - model.f_eval(xs - h)) / (2 * h)
-    fs = (model.f_prime(xs + h) - model.f_prime(xs - h)) / (2 * h)
     assert np.max(np.abs(model.f_prime(xs) - fp) / np.maximum(1, np.abs(fp))) <= 1e-6
-    assert np.max(np.abs(model.f_second(xs) - fs) / np.maximum(1, np.abs(fs))) <= 1e-6
 
 
 @pytest.mark.parametrize("kind,m", [("power", 1.5), ("power", 2.0), ("power", 3.0), ("entropy", 1.0)])
 def test_curvature_sandwich_is_equality(kind, m):
     model = EnergyModel(kind, m)
-    xs = np.linspace(0.05, 8.0, 33)
-    np.testing.assert_allclose(model.f_second(xs), model.c1 * xs ** (model.m - 2.0), rtol=1e-14)
     assert model.c1 == model.c2
 
 
@@ -149,30 +131,6 @@ def _indicator_field():
     return GridField(grid, np.where((x >= 0) & (x <= 1.0), 1.0, 0.0))
 
 
-def test_lm_norm_bound_examples():
-    kernel = MollifierSpec("gaussian", 1, 0.1)
-    model = EnergyModel("power", 2.0)
-    assert lm_norm_bound_check(_indicator_field(), kernel, model).ok
-
-    prof = BarenblattProfile(m=2.0, d=1)
-    field = prof.sample_field(0.0, spacing=0.01)
-    assert lm_norm_bound_check(field, kernel, model).ok
-
-    h = 0.01
-    grid = Grid(np.array([-1.0]), h, (201,))
-    spike = np.zeros(201)
-    spike[100] = 1.0 / h
-    rep = lm_norm_bound_check(GridField(grid, spike), kernel, model)
-    assert rep.ok and np.isfinite(rep.lhs)
-
-
-def test_young_initial_energy_bound():
-    kernel = MollifierSpec("gaussian", 1, 0.15)
-    model = EnergyModel("power", 2.0)
-    rep = young_initial_energy_bound(_indicator_field(), kernel, model)
-    assert rep.ok
-
-
 def test_convolved_field_mass_preserved():
     field = _indicator_field()
     conv = convolve_field(field, MollifierSpec("gaussian", 1, 0.1))
@@ -188,8 +146,6 @@ def test_convolved_field_2d():
     conv = convolve_field(field, MollifierSpec("gaussian", 2, 0.2))
     assert conv.mass() == pytest.approx(1.0, abs=1e-6)
     assert np.all(conv.values >= 0.0)
-    rep = lm_norm_bound_check(field, MollifierSpec("gaussian", 2, 0.2), EnergyModel("power", 2.0))
-    assert rep.ok
 
 
 def test_quadrature_refinement_stability():

@@ -17,7 +17,7 @@ from blobflow.fields import (
     weak_form_residual,
 )
 from blobflow.grids import Grid, GridField, QuadratureSpec
-from blobflow.kernels import MollifierSpec, eval_v, kernel_moments, unit_m1
+from blobflow.kernels import MollifierSpec, kernel_moments, unit_m1, value_on_pairs
 from blobflow.particles import ParticleEnsemble, simulate, velocity_on_grid
 from blobflow.reference import BarenblattProfile
 
@@ -39,7 +39,7 @@ def test_mollify_single_particle_samples_kernel():
     ens = ParticleEnsemble(np.array([0.0]))
     field = mollify_auto(ens, K)
     x = field.grid.axes()[0]
-    np.testing.assert_allclose(field.values, eval_v(K, x), atol=1e-15)
+    np.testing.assert_allclose(field.values, value_on_pairs(K, x[:, None]), atol=1e-15)
     assert field.mass() == pytest.approx(1.0, abs=1e-6)
 
 

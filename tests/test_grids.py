@@ -5,6 +5,8 @@ row formatter, a hand-written lattice, the per-axis trapezoid rule) that
 the single path replaced; the single path must reproduce it exactly, or
 to rounding where the summation order changed.
 """
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from blobflow.energy import convolve_field
-from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, read_field_csv, write_csv
-from blobflow.kernels import MollifierSpec, eval_v, self_convolution
+from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, write_csv
+from blobflow.kernels import MollifierSpec, self_convolution, value_on_pairs
 from blobflow.reference import BarenblattProfile
 from blobflow.runner import emit_reference
 
@@ -102,9 +104,9 @@ def _convolve_oracle(field, kernel):
     nk = int(np.ceil(kernel.padding_radius() / h))
     offs = h * np.arange(-nk, nk + 1)
     if field.d == 1:
-        return np.convolve(field.values, eval_v(kernel, offs) * h, mode="full")
+        return np.convolve(field.values, value_on_pairs(kernel, offs[:, None]) * h, mode="full")
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    return np.maximum(fftconvolve(field.values, eval_v(kernel, np.stack([ox, oy], axis=-1)) * h * h), 0.0)
+    return np.maximum(fftconvolve(field.values, value_on_pairs(kernel, np.stack([ox, oy], axis=-1)) * h * h), 0.0)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
@@ -130,7 +132,7 @@ def test_bump_self_convolution_matches_old_padded_grid(d):
     h = spec.eps / 64.0
     axis = -2.0 * spec.eps + h * np.arange(257)
     pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    samples = eval_v(spec, pts[..., 0] if d == 1 else pts)
+    samples = value_on_pairs(spec, pts)
     old = (np.convolve(samples, samples) if d == 1 else fftconvolve(samples, samples)) * h ** d
     assert w.grid.shape == (257,) * d
     np.testing.assert_allclose(w.grid.origin, -2.0 * spec.eps, rtol=0, atol=1e-15)
@@ -190,7 +192,8 @@ def test_cover_points_builds_the_heat_lattice(tmp_path, sigma2, t, h):
     emit_reference("heat", tmp_path / "h.csv", sigma2=sigma2, t=t, spacing=h)
     half = 8.0 * np.sqrt(sigma2 + 2.0 * t)
     n = int(np.ceil(2 * half / h)) + 1
-    _same_lattice(read_field_csv(tmp_path / "h.csv").grid, Grid(np.array([-half]), h, (n,)))
+    meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
+    _same_lattice(Grid(np.asarray(meta["origin"]), meta["spacing"], meta["extents"]), Grid(np.array([-half]), h, (n,)))
 
 
 def test_cover_points_builds_the_acceptance_lattices():

@@ -8,12 +8,12 @@ from blobflow.grids import GridField
 from blobflow.kernels import (
     GAUSSIAN_TRUNCATION,
     MollifierSpec,
-    eval_grad_v,
-    eval_v,
+    grad_on_pairs,
     kernel_moments,
     self_convolution,
     unit_m1,
     unit_m2,
+    value_on_pairs,
 )
 
 SPECS_1D = [MollifierSpec("gaussian", 1, 1.0), MollifierSpec("bump", 1, 1.0),
@@ -22,45 +22,46 @@ SPECS_1D = [MollifierSpec("gaussian", 1, 1.0), MollifierSpec("bump", 1, 1.0),
 
 def test_gaussian_closed_forms():
     g = MollifierSpec("gaussian", 1, 1.0)
-    assert eval_v(g, 0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-15)
+    assert value_on_pairs(g, np.array([0.0])) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-15)
     # d/dx of the unit gaussian at x=1 is -x V(x)
-    assert eval_grad_v(g, 1.0) == pytest.approx(-np.exp(-0.5) / np.sqrt(2 * np.pi), abs=1e-15)
-    assert eval_grad_v(g, 0.0) == 0.0
+    assert grad_on_pairs(g, np.array([1.0]))[0] == pytest.approx(-np.exp(-0.5) / np.sqrt(2 * np.pi), abs=1e-15)
+    assert grad_on_pairs(g, np.array([0.0]))[0] == 0.0
 
 
 def test_bump_compact_support_exact():
     b = MollifierSpec("bump", 1, 0.5)
-    assert eval_v(b, 0.6) == 0.0
-    assert eval_v(b, -0.5) == 0.0
-    assert eval_v(b, 0.49) > 0.0
-    assert eval_grad_v(b, 0.7) == 0.0
+    assert value_on_pairs(b, np.array([0.6])) == 0.0
+    assert value_on_pairs(b, np.array([-0.5])) == 0.0
+    assert value_on_pairs(b, np.array([0.49])) > 0.0
+    assert grad_on_pairs(b, np.array([0.7]))[0] == 0.0
 
 
 def test_evenness_2d():
     k = MollifierSpec("gaussian", 2, 0.3)
-    assert eval_v(k, np.array([0.1, -0.2])) == eval_v(k, np.array([-0.1, 0.2]))
+    assert value_on_pairs(k, np.array([0.1, -0.2])) == value_on_pairs(k, np.array([-0.1, 0.2]))
 
 
 @given(st.floats(-6, 6), st.sampled_from(["gaussian", "bump"]), st.floats(0.1, 2.0))
 def test_even_value_odd_gradient(x, family, eps):
     spec = MollifierSpec(family, 1, eps)
-    assert eval_v(spec, x) == eval_v(spec, -x)
-    assert eval_grad_v(spec, x) == -eval_grad_v(spec, -x)
-    assert eval_v(spec, x) >= 0.0
+    x = np.array([x])
+    assert value_on_pairs(spec, x) == value_on_pairs(spec, -x)
+    assert grad_on_pairs(spec, x) == -grad_on_pairs(spec, -x)
+    assert value_on_pairs(spec, x) >= 0.0
 
 
 @given(st.floats(-4, 4), st.sampled_from(["gaussian", "bump"]), st.floats(0.05, 3.0))
 def test_scaling_identity(x, family, eps):
     spec = MollifierSpec(family, 1, eps)
     unit = MollifierSpec(family, 1, 1.0)
-    expect = eval_v(unit, x / eps) / eps
-    assert eval_v(spec, x) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+    expect = value_on_pairs(unit, np.array([x / eps])) / eps
+    assert value_on_pairs(spec, np.array([x])) == pytest.approx(expect, rel=1e-14, abs=1e-300)
 
 
 @pytest.mark.parametrize("spec", SPECS_1D, ids=str)
 def test_normalization_by_quadrature(spec):
     upper = spec.padding_radius()
-    val, err = integrate.quad(lambda x: eval_v(spec, x), -upper, upper, limit=200)
+    val, err = integrate.quad(lambda x: value_on_pairs(spec, np.array([x])), -upper, upper, limit=200)
     assert abs(val - 1.0) <= 1e-8
 
 
@@ -71,16 +72,12 @@ def test_gradient_matches_finite_differences(spec):
     worst = 0.0
     for _ in range(40):
         x = rng.uniform(-1.5 * spec.padding_radius(), 1.5 * spec.padding_radius(), size=spec.d)
-        if spec.d == 1:
-            fd = (eval_v(spec, x[0] + h) - eval_v(spec, x[0] - h)) / (2 * h)
-            worst = max(worst, abs(eval_grad_v(spec, x[0]) - fd))
-        else:
-            g = eval_grad_v(spec, x)
-            for axis in range(2):
-                step = np.zeros(2)
-                step[axis] = h
-                fd = (eval_v(spec, x + step) - eval_v(spec, x - step)) / (2 * h)
-                worst = max(worst, abs(g[axis] - fd))
+        g = grad_on_pairs(spec, x)
+        for axis in range(spec.d):
+            step = np.zeros(spec.d)
+            step[axis] = h
+            fd = (value_on_pairs(spec, x + step) - value_on_pairs(spec, x - step)) / (2 * h)
+            worst = max(worst, abs(g[axis] - fd))
     assert worst <= 1e-6
 
 
@@ -105,7 +102,7 @@ def test_bump_m2_against_riemann_sum():
     # independent oracle: high-resolution Riemann sum on the exact support
     spec = MollifierSpec("bump", 1, 1.0)
     x = np.linspace(-1, 1, 2_000_001)
-    riemann = np.sum(x * x * eval_v(spec, x)) * (x[1] - x[0])
+    riemann = np.sum(x * x * value_on_pairs(spec, x[:, None])) * (x[1] - x[0])
     mom = kernel_moments(spec)
     assert mom.m2 == pytest.approx(riemann, abs=1e-9)
     assert mom.m2 == pytest.approx(1.0 / 9.0, abs=1e-10)  # closed form of the cubic bump
@@ -116,7 +113,8 @@ def test_sup_hessian_matches_sampled_second_differences():
     h = 1e-4
     for spec in (MollifierSpec("gaussian", 1, 1.0), MollifierSpec("bump", 1, 1.0)):
         xs = np.linspace(-1.2, 1.2, 4001)
-        second = (eval_v(spec, xs + h) - 2 * eval_v(spec, xs) + eval_v(spec, xs - h)) / h**2
+        v = lambda y: value_on_pairs(spec, y[:, None])
+        second = (v(xs + h) - 2 * v(xs) + v(xs - h)) / h**2
         assert kernel_moments(spec).sup_d2v == pytest.approx(np.max(np.abs(second)), rel=1e-4)
 
 
@@ -146,7 +144,7 @@ def test_self_convolution_bump_against_quadrature():
     for idx in np.linspace(10, axis.size - 11, 5).astype(int):
         z = axis[idx]
         val, _ = integrate.quad(
-            lambda y: eval_v(spec, z - y) * eval_v(spec, y), -0.5, 0.5, limit=200
+            lambda y: value_on_pairs(spec, np.array([z - y])) * value_on_pairs(spec, np.array([y])), -0.5, 0.5, limit=200
         )
         assert abs(w.values[idx] - val) <= 1e-6
 
@@ -159,9 +157,9 @@ def test_padding_radius():
 def test_evenness_bulk_random():
     rng = np.random.default_rng(0)
     for spec in (MollifierSpec("gaussian", 1, 0.7), MollifierSpec("bump", 1, 0.7)):
-        x = rng.uniform(-3, 3, size=1000)
-        np.testing.assert_array_equal(eval_v(spec, x), eval_v(spec, -x))
-        np.testing.assert_array_equal(eval_grad_v(spec, x), -eval_grad_v(spec, -x))
+        x = rng.uniform(-3, 3, size=(1000, 1))
+        np.testing.assert_array_equal(value_on_pairs(spec, x), value_on_pairs(spec, -x))
+        np.testing.assert_array_equal(grad_on_pairs(spec, x), -grad_on_pairs(spec, -x))
 
 
 def test_quadrature_failure_signalled():
