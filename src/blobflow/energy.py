@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnergyDomainError
 from .grids import Grid, GridField, QuadratureSpec, lattice_nodes
-from .kernels import MollifierSpec, value_on_pairs
+from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
 
@@ -100,7 +100,7 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid) -> np.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win = grid.window(pos, kernel.padding_radius())
-    return win.deposit(value_on_pairs(kernel, win.diff)) / len(pos)
+    return win.deposit(value_and_grad_factor(kernel, win.r2)[0]) / len(pos)
 
 
 def regularized_energy(

@@ -22,7 +22,7 @@ from scipy.integrate import cumulative_trapezoid
 from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
 from .grids import Grid, GridField, QuadratureSpec
-from .kernels import MollifierSpec, kernel_moments, unit_m1, value_on_pairs
+from .kernels import MollifierSpec, kernel_moments, unit_m1, value_and_grad_factor
 from .particles import ParticleEnsemble, Trajectory, velocity_on_grid
 
 CLAMP = 1e-14  # values below this are treated as exact zeros before powering
@@ -144,7 +144,7 @@ def error_term_z(
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
     pos = ens.positions
     win = grid.window(pos, kernel.padding_radius())
-    vker = value_on_pairs(kernel, win.diff)  # (N, W^d)
+    vker = value_and_grad_factor(kernel, win.r2)[0]  # (N, W^d)
     v = win.deposit(vker) / ens.n  # V_eps * rho^N, as mollified_density deposits it
     gp_part = phi.grad(pos)  # (N,) or (N, d)
     gp_node = phi.grad(grid.nodes())  # (G,) or (G, d)

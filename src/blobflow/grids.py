@@ -72,15 +72,17 @@ class Grid:
         c = int(np.ceil(reach / self.spacing))
         idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
-        on_grid = (idx >= 0) & (idx < np.asarray(self.shape)[:, None])
+        shape = np.asarray(self.shape)[:, None]
+        sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)  # a node off the grid on any axis is at inf
+        strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
 
         def box(a):  # axis k's (N, W) values laid along axis k of the (N, W, ..., W) box, row-major
             return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
 
-        lin = np.ravel_multi_index(tuple(box(idx)), self.shape, mode="clip")
-        near = reduce(np.logical_and, box(on_grid)) & (reduce(np.add, box(off * off)) <= reach * reach)
-        diff = np.stack(np.broadcast_arrays(*box(off)), axis=-1)
-        return Window(lin.reshape(n, -1), diff.reshape(n, -1, d), near.reshape(n, -1), prod(self.shape))
+        lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
+        r2 = reduce(np.add, box(sq)).reshape(n, -1)
+        r2[r2 > reach * reach] = np.inf
+        return Window(off, lin, r2, prod(self.shape))
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -95,23 +97,32 @@ class Grid:
 class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
-    Only pairs flagged in ``near`` count: the node is on the grid and within
-    reach of the point.  A box may overhang the grid's edge; its nodes there
-    are clipped to an edge index and deposit and read nothing.
+    A pair counts when its node is on the grid and within reach of the
+    point; every other pair has ``r2 = inf``, where each kernel profile is
+    exactly 0.0, so it deposits and reads nothing.  A box may overhang the
+    grid's edge; its nodes there are clipped to an edge index.  Only ``r2``
+    and ``lin`` are per pair: the displacements stay per axis in ``off``.
     """
 
+    off: np.ndarray  # (N, d, W) node minus point along each axis
     lin: np.ndarray  # (N, W^d) flat node indices into the grid's row-major nodes
-    diff: np.ndarray  # (N, W^d, d) node minus point
-    near: np.ndarray  # (N, W^d) True where the node is on the grid and within reach
+    r2: np.ndarray  # (N, W^d) squared node-to-point distance; inf for pairs that do not count
     size: int  # G, the grid's node count
 
     def deposit(self, values: np.ndarray) -> np.ndarray:
         """Flat (G,) sums of the (N, W^d) pair values over the points, per node."""
-        return np.bincount(self.lin.ravel(), weights=(values * self.near).ravel(), minlength=self.size)
+        return np.bincount(self.lin.ravel(), weights=values.ravel(), minlength=self.size)
 
-    def gather(self, field: np.ndarray) -> np.ndarray:
-        """The flat (G,) field read at every pair's node, (N, W^d); zero for pairs that do not count."""
-        return field[self.lin] * self.near
+    def contract(self, values: np.ndarray) -> np.ndarray:
+        """(N, d) sums over each point's box of (node - point) times the (N, W^d) pair values.
+
+        Axis k sums the values over the other box axes first, then weighs
+        them by ``off[:, k]``, so no (N, W^d, d) array is built.
+        """
+        n, d, w = self.off.shape
+        box = values.reshape((n,) + (w,) * d)
+        others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
+        return np.stack([np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k))) for k in range(d)], axis=-1)
 
 
 def lattice_nodes(axes) -> np.ndarray:

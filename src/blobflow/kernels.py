@@ -75,24 +75,6 @@ class KernelMoments:
     l1_grad_v: float
 
 
-# ---------------------------------------------------------------------------
-# unit-profile values and gradients (functions of r^2 = |x/eps|^2)
-
-def _unit_value_r2(family: str, d: int, r2: np.ndarray) -> np.ndarray:
-    if family == "gaussian":
-        return _INV_SQRT_2PI ** d * np.exp(-0.5 * r2)
-    t = np.maximum(1.0 - r2, 0.0)
-    return _bump_normalisation(d) * (t * t * t)
-
-
-def _unit_grad_factor_r2(family: str, d: int, r2: np.ndarray) -> np.ndarray:
-    """g with grad V_1(u) = u * g(|u|^2)."""
-    if family == "gaussian":
-        return -(_INV_SQRT_2PI ** d) * np.exp(-0.5 * r2)
-    t = np.maximum(1.0 - r2, 0.0)
-    return -6.0 * _bump_normalisation(d) * (t * t)
-
-
 def _radial_integral(profile, d, upper):
     """Integral of profile(|x|) over R^d, via the radial reduction (tolerance 1e-12)."""
     if d == 1:
@@ -121,8 +103,9 @@ def _bump_normalisation(d: int) -> float:
 def _unit_moments(family: str, d: int):
     """(mass, m1, m2, l1_grad) of the unit profile, by cached quadrature."""
     upper = _unit_upper(family)
-    val = lambda r: float(_unit_value_r2(family, d, np.asarray(r * r)))
-    gmag = lambda r: r * abs(float(_unit_grad_factor_r2(family, d, np.asarray(r * r))))
+    unit = MollifierSpec(family, d, 1.0)
+    val = lambda r: float(value_and_grad_factor(unit, r * r)[0])
+    gmag = lambda r: r * abs(float(value_and_grad_factor(unit, r * r)[1]))
     mass = _radial_integral(val, d, upper)
     m1 = _radial_integral(lambda r: r * val(r), d, upper)
     m2 = _radial_integral(lambda r: r * r * val(r), d, upper)
@@ -131,7 +114,7 @@ def _unit_moments(family: str, d: int):
 
 
 def _unit_sup(family: str, d: int) -> float:
-    return float(_unit_value_r2(family, d, np.asarray(0.0)))
+    return float(value_and_grad_factor(MollifierSpec(family, d, 1.0), 0.0)[0])
 
 
 def _unit_sup_hessian(family: str, d: int) -> float:
@@ -167,22 +150,44 @@ def unit_m2(spec: MollifierSpec) -> float:
     return _unit_moments(spec.family, spec.d)[2]
 
 
-def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
-    """V_eps on an explicit (..., d) array of displacement vectors.
+def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
+    """(V_eps, g_eps) at squared distances r2, with grad V_eps(x) = x g_eps(|x|^2).
 
-    This and grad_on_pairs are the only places the unit profile is applied
-    to displacements; every particle<->grid evaluation goes through them.
+    The one evaluation of the kernel profiles.  V_eps and g_eps share one
+    exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
+    exactly 0.0 at r2 = inf, which is how ``Grid.window`` marks the pairs
+    that do not count.  Each step works in place on one of two new arrays
+    the size of r2.
     """
+    r2 = np.asarray(r2, dtype=float)
+    inv_eps2 = spec.eps ** -2.0
+    scale = spec.eps ** (-spec.d)
+    if spec.family == "gaussian":
+        v = np.multiply(r2, -0.5 * inv_eps2, out=np.empty(r2.shape))
+        np.exp(v, out=v)
+        v *= _INV_SQRT_2PI ** spec.d * scale
+        return v, v * -inv_eps2
+    t = np.multiply(r2, -inv_eps2, out=np.empty(r2.shape))
+    t += 1.0
+    np.maximum(t, 0.0, out=t)
+    g = t * t
+    c = _bump_normalisation(spec.d) * scale
+    t *= g
+    t *= c
+    g *= -6.0 * c * inv_eps2
+    return t, g
+
+
+def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
+    """V_eps on an explicit (..., d) array of displacement vectors."""
     u = np.asarray(diff, dtype=float) / spec.eps
-    r2 = np.einsum("...d,...d->...", u, u)
-    return _unit_value_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d)
+    return value_and_grad_factor(spec.with_eps(1.0), np.einsum("...d,...d->...", u, u))[0] * spec.eps ** (-spec.d)
 
 
 def grad_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
     """grad V_eps on an explicit (..., d) array of displacement vectors."""
     u = np.asarray(diff, dtype=float) / spec.eps
-    r2 = np.einsum("...d,...d->...", u, u)
-    g = _unit_grad_factor_r2(spec.family, spec.d, r2) * spec.eps ** (-spec.d - 1)
+    g = value_and_grad_factor(spec.with_eps(1.0), np.einsum("...d,...d->...", u, u))[1] * spec.eps ** (-spec.d - 1)
     return u * g[..., None]
 
 

@@ -9,9 +9,12 @@ velocity field
 evaluated by trapezoid quadrature on one shared grid per evaluation.  V_eps
 vanishes beyond its reach R (the bump support, the gaussian truncation), so
 each particle touches only the nodes within R, found in its box of
-W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``): the mollified density
-is deposited from those pairs and every particle integrates against it over
-the same pairs, O(N W^d) time and memory however large the grid.
+W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  One kernel
+evaluation on the box's squared distances gives both V_eps and the factor
+g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
+from V_eps, and each particle's velocity component k is the sum over its
+box of the node-minus-particle offset along k times g_eps F' w, in
+O(N W^d) time and memory however large the grid.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -26,7 +29,7 @@ import numpy as np
 from .energy import EnergyModel, energy_on_grid
 from .errors import CoverageError, DomainEscapeError, UnsupportedDensityError
 from .grids import QuadratureSpec
-from .kernels import MollifierSpec, grad_on_pairs, self_convolution, value_on_pairs
+from .kernels import MollifierSpec, grad_on_pairs, self_convolution, value_and_grad_factor
 
 INTEGRATORS = ("euler", "heun", "rk4")
 
@@ -86,18 +89,20 @@ class Trajectory:
 def velocity_on_grid(positions: np.ndarray, kernel: MollifierSpec, model: EnergyModel, grid) -> np.ndarray:
     """Blob velocities against a caller-pinned quadrature grid.
 
-    One window serves the deposit and the gather.  F' is read only where
-    the deposit is nonzero: nothing else is gathered, and the entropy's F'
-    is undefined at zero density.
+    One window and one kernel evaluation serve the deposit and the gather.
+    F' is read only where the deposit is nonzero: nothing else is gathered,
+    and the entropy's F' is undefined at zero density.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win = grid.window(pos, kernel.padding_radius())
-    v_tilde = win.deposit(value_on_pairs(kernel, win.diff)) / len(pos)
+    v, g = value_and_grad_factor(kernel, win.r2)
+    v_tilde = win.deposit(v) / len(pos)
     wf = np.zeros_like(v_tilde)
     held = v_tilde != 0.0
     wf[held] = grid.trapezoid_weights()[held] * model.f_prime(v_tilde[held])
-    # grad V_eps(node - x) = -grad V_eps(x - node)
-    return np.einsum("nwd,nw->nd", grad_on_pairs(kernel, win.diff), win.gather(wf))
+    # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
+    g *= wf[win.lin]
+    return win.contract(g)
 
 
 def velocity(
@@ -196,7 +201,7 @@ def simulate(
     aborts the run (DomainEscapeError, carrying the snapshots recorded so
     far) rather than truncating integrals.
     """
-    from .transport import w2_1d_positions, w2_assignment_positions
+    from .transport import ASSIGNMENT_CAP, w2_1d_positions, w2_assignment_positions
 
     n_steps, dt = step_plan(T, dt, record_every, kernel, model)
 
@@ -212,7 +217,7 @@ def simulate(
             entry["dw_step"] = 0.0
         elif ens.d == 1:
             entry["dw_step"] = w2_1d_positions(prev.positions[:, 0], ens.positions[:, 0])
-        elif ens.n <= 512:
+        elif ens.n <= ASSIGNMENT_CAP:
             entry["dw_step"] = w2_assignment_positions(prev.positions, ens.positions)
         else:
             entry["dw_step"] = float("nan")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -13,6 +13,7 @@ from blobflow.kernels import (
     self_convolution,
     unit_m1,
     unit_m2,
+    value_and_grad_factor,
     value_on_pairs,
 )
 
@@ -182,3 +183,22 @@ def test_invalid_specs_rejected():
         MollifierSpec("gaussian", 3, 1.0)
     with pytest.raises(ValueError):
         MollifierSpec("gaussian", 1, 0.0)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["gaussian", "bump"]), st.sampled_from([1, 2]), st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+def test_shared_evaluation_matches_the_displacement_front_ends(family, d, eps, seed):
+    # the windows' one evaluation on |x|^2 against value_on_pairs / grad_on_pairs on x, to 1e-14 of the sup scale
+    spec = MollifierSpec(family, d, eps)
+    diff = np.random.default_rng(seed).uniform(-1.1, 1.1, size=(256, d)) * spec.padding_radius()
+    v, g = value_and_grad_factor(spec, np.sum(diff * diff, axis=-1))
+    sup = kernel_moments(spec).sup_v
+    assert np.max(np.abs(v - value_on_pairs(spec, diff))) <= 1e-14 * sup
+    assert np.max(np.abs(diff * g[:, None] - grad_on_pairs(spec, diff))) <= 1e-14 * sup / eps
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_shared_evaluation_is_exactly_zero_at_infinite_distance(family, d):
+    v, g = value_and_grad_factor(MollifierSpec(family, d, 0.3), np.array([np.inf, 0.0]))
+    assert v[0] == 0.0 and g[0] == 0.0 and v[1] > 0.0 and g[1] < 0.0

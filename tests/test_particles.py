@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blobflow import transport
 from blobflow.energy import EnergyModel
 from blobflow.errors import CoverageError, UnsupportedDensityError
 from blobflow.grids import QuadratureSpec
@@ -217,6 +218,15 @@ def test_simulate_2d_dissipates():
     assert np.all(np.diff(e) <= 1e-8)
     coms = np.array([d["com"] for d in traj.diagnostics])
     assert np.max(np.abs(coms - coms[0])) <= 1e-8
+
+
+def test_assignment_cap_is_the_transport_cap(monkeypatch):
+    # above the assignment solver's cap a 2d run records no W2 step instead of failing
+    monkeypatch.setattr(transport, "ASSIGNMENT_CAP", 3)
+    initial = ParticleEnsemble(np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [0.3, 0.3]]))
+    traj = simulate(initial, MollifierSpec("gaussian", 2, 0.3), M2, T=2e-3, dt=1e-3)
+    dw = [d["dw_step"] for d in traj.diagnostics]
+    assert dw[0] == 0.0 and len(dw) == 3 and all(np.isnan(x) for x in dw[1:])
 
 
 def test_simulate_domain_escape_mid_run():

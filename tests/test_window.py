@@ -16,7 +16,7 @@ from blobflow.energy import EnergyModel, mollified_density
 from blobflow.fields import TestFunction, error_term_grid, error_term_z
 from blobflow.grids import QuadratureSpec
 from blobflow.jko import _step_grid
-from blobflow.kernels import MollifierSpec, grad_on_pairs, value_on_pairs
+from blobflow.kernels import MollifierSpec, grad_on_pairs, value_and_grad_factor, value_on_pairs
 from blobflow.particles import ParticleEnsemble, velocity_on_grid
 
 TOL = 1e-12
@@ -134,11 +134,17 @@ def test_window_holds_exactly_the_grid_nodes_within_reach(case):
     reach = kernel.padding_radius()
     win = grid.window(pos, reach)
     _, near = dense_pairs(pos, kernel, grid, reach)
+    held = np.isfinite(win.r2)
     rows = np.broadcast_to(np.arange(len(pos))[:, None], win.lin.shape)
     counted = np.zeros_like(near)
-    counted[rows[win.near], win.lin[win.near]] = True
-    assert np.array_equal(counted, near) and np.count_nonzero(win.near) == np.count_nonzero(near)
-    assert np.array_equal(win.diff[win.near], (grid.nodes()[None] - pos[:, None])[rows[win.near], win.lin[win.near]])
+    counted[rows[held], win.lin[held]] = True
+    assert np.array_equal(counted, near) and np.count_nonzero(held) == np.count_nonzero(near)
+    diff = (grid.nodes()[None] - pos[:, None])[rows[held], win.lin[held]]
+    assert np.array_equal(win.r2[held], np.sum(diff * diff, axis=-1))
+    n, d, w = win.off.shape
+    per_pair = [np.broadcast_to(win.off[:, k].reshape((n,) + (1,) * k + (w,) + (1,) * (d - k - 1)), (n,) + (w,) * d)
+                for k in range(d)]
+    assert np.array_equal(np.stack(per_pair, axis=-1).reshape(n, -1, d)[held], diff)
 
 
 def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
@@ -166,24 +172,44 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
     model = EnergyModel("power", 2.0)
     side = np.linspace(-0.5, 0.5, 3)
     pos = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    shapes = []
+    shapes, displacement_calls = [], []
 
-    def recording(fn):
+    def recording(spec, r2):
+        shapes.append(np.shape(r2))
+        return value_and_grad_factor(spec, r2)
+
+    def displacements(fn):
         def wrapped(spec, diff):
-            shapes.append(np.shape(diff))
+            displacement_calls.append(np.shape(diff))
             return fn(spec, diff)
         return wrapped
 
     for mod in (particles, energy):
-        monkeypatch.setattr(mod, "value_on_pairs", recording(value_on_pairs), raising=False)
-        monkeypatch.setattr(mod, "grad_on_pairs", recording(grad_on_pairs), raising=False)
+        monkeypatch.setattr(mod, "value_and_grad_factor", recording)
+        monkeypatch.setattr(mod, "value_on_pairs", displacements(value_on_pairs), raising=False)
+        monkeypatch.setattr(mod, "grad_on_pairs", displacements(grad_on_pairs), raising=False)
     seen = []
     for half in (3.0, 6.0):
         quad = QuadratureSpec(domain=[[-half, half]] * d)
+        grid = quad.grid_for(pos, kernel)
         shapes.clear()
-        velocity_on_grid(pos, kernel, model, quad.grid_for(pos, kernel))
-        seen.append(sorted(set(shapes)))
+        velocity_on_grid(pos, kernel, model, grid)
+        mollified_density(pos, kernel, grid)
+        seen.append((len(shapes), sorted(set(shapes))))
     w = 2 * int(np.ceil(kernel.padding_radius() / QuadratureSpec().spacing(kernel))) + 2
-    assert seen[0] == [(len(pos), w ** d, d)]
+    assert seen[0] == (2, [(len(pos), w ** d)])
     assert seen[1] == seen[0]
+    assert displacement_calls == []
 
+
+@settings(max_examples=60)
+@given(cases(grid_kinds=("slack", "pinned")), st.sampled_from(["gaussian_bump", "poly_bump"]))
+def test_window_paths_raise_no_floating_point_error(case, family):
+    # r2 = inf marks the pairs that do not count; no inf * 0, overflow or underflow may follow from it
+    kernel, model, pos, grid, quad = case
+    phi = TestFunction(family, np.full(kernel.d, 0.2), 0.5)
+    z_grid = error_term_grid(pos, kernel, phi, quad) if quad.domain is None else grid
+    with np.errstate(all="raise"):
+        velocity_on_grid(pos, kernel, model, grid)
+        mollified_density(pos, kernel, grid)
+        error_term_z(ParticleEnsemble(pos), kernel, phi, z_grid)
