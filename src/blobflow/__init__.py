@@ -8,7 +8,7 @@ from .jko import JkoChain, JkoState, boltzmann_entropy, run_jko
 from .kernels import KernelMoments, MollifierSpec, kernel_moments
 from .particles import ParticleEnsemble, Trajectory, initial_sampler, simulate, velocity
 from .reference import BarenblattProfile, fd_pme_oracle, heat_solution, lambda_convexity
-from .transport import DistanceReport, m1, m2, w1_1d, w2_1d, w2_assignment
+from .transport import DistanceReport, m2, w1_1d, w2_1d, w2_assignment
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "initial_sampler",
     "kernel_moments",
     "lambda_convexity",
-    "m1",
     "m2",
     "regularized_energy",
     "run_jko",

@@ -140,7 +140,7 @@ def convolve_field(field: GridField, kernel: MollifierSpec) -> GridField:
     support.  The field spacing should resolve the kernel (h <= eps/4) for
     quadrature-grade accuracy; discrete Young's inequality holds regardless.
     """
-    from scipy.signal import convolve  # ~0.5 s to import; no solver step needs it
+    from scipy.signal import convolve  # ~0.5 s to import; only gridded densities and the bump's W_eps need it
 
     h, d = field.grid.spacing, field.d
     nk = int(np.ceil(kernel.padding_radius() / h))

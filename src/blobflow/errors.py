@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge to the requested tolerance."""
-
-
 class CoverageError(ValueError):
     """A grid does not cover the data padded by the kernel support."""
 

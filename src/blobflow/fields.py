@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
@@ -267,4 +266,5 @@ def local_weak_form_residual(
 
 def _time_residuals(lhs: np.ndarray, rate: np.ndarray, times: np.ndarray) -> np.ndarray:
     """|lhs(t_k) - int_0^{t_k} rate dt| with one cumulative trapezoid pass."""
-    return np.abs(lhs - cumulative_trapezoid(rate, times, initial=0.0))
+    steps = np.cumsum(np.diff(times) * (rate[1:] + rate[:-1]) / 2.0)
+    return np.abs(lhs - np.concatenate(([0.0], steps)))

@@ -141,7 +141,8 @@ class JkoChain:
         constant is a measurement, not an assertion.  States are sorted, so
         the RMS gap of two rows is their W2 distance.
         """
-        idx = np.unique(np.linspace(0, len(self.states) - 1, 128).astype(int))
+        idx = np.linspace(0, len(self.states) - 1, 128).astype(int)
+        idx = idx[np.concatenate(([True], np.diff(idx) > 0))]  # sorted, so this drops the repeats
         rows = np.array([self.states[i].positions for i in idx])
         best = 0.0
         for a, i in enumerate(idx[:-1]):

@@ -11,20 +11,17 @@ A smoothing kernel of width ``eps`` is generated from a unit profile by
   the profile required by the subquadratic diffusion regime.
 
 Both profiles are nonnegative, even, mass one, with finite second moment
-and integrable gradient.  Scalar moments of the unit profile are computed
-once by adaptive quadrature and cached; moments of ``V_eps`` follow from
-the exact scaling laws (``m2`` scales like ``eps^2``, sup norms like
-``eps^{-d}`` and ``eps^{-d-2}``).
+and integrable gradient.  Scalar moments of the unit profile are closed
+forms (``UNIT_MOMENTS``); moments of ``V_eps`` follow from the exact
+scaling laws (``m2`` scales like ``eps^2``, sup norms like ``eps^{-d}`` and
+``eps^{-d-2}``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-
-from .errors import QuadratureError
 
 FAMILIES = ("gaussian", "bump")
 
@@ -75,42 +72,18 @@ class KernelMoments:
     l1_grad_v: float
 
 
-def _radial_integral(profile, d, upper):
-    """Integral of profile(|x|) over R^d, via the radial reduction (tolerance 1e-12)."""
-    if d == 1:
-        integrand = lambda r: 2.0 * profile(r)
-    else:
-        integrand = lambda r: 2.0 * np.pi * r * profile(r)
-    val, err = integrate.quad(integrand, 0.0, upper, limit=200, epsabs=1e-12, epsrel=1e-12)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"radial quadrature error {err:.2e} did not meet tolerance (value {val:.6e})"
-        )
-    return val
+# (mass, m1, m2, l1_grad) of the unit profile per (family, d): the integrals of
+# V_1, |x| V_1, |x|^2 V_1 and |grad V_1| over R^d.  The gaussian's l1_grad is
+# E|X| in both dimensions; the bump's are polynomial integrals on [0, 1].
+UNIT_MOMENTS = {
+    ("gaussian", 1): (1.0, math.sqrt(2.0 / math.pi), 1.0, math.sqrt(2.0 / math.pi)),
+    ("gaussian", 2): (1.0, math.sqrt(math.pi / 2.0), 2.0, math.sqrt(math.pi / 2.0)),
+    ("bump", 1): (1.0, 35.0 / 128.0, 1.0 / 9.0, 35.0 / 16.0),
+    ("bump", 2): (1.0, 128.0 / 315.0, 1.0 / 5.0, 128.0 / 35.0),
+}
 
-
-def _unit_upper(family: str) -> float:
-    return 1.0 if family == "bump" else np.inf
-
-
-@lru_cache(maxsize=None)
-def _bump_normalisation(d: int) -> float:
-    raw = _radial_integral(lambda r: (1.0 - r * r) ** 3, d, 1.0)
-    return 1.0 / raw
-
-
-@lru_cache(maxsize=None)
-def _unit_moments(family: str, d: int):
-    """(mass, m1, m2, l1_grad) of the unit profile, by cached quadrature."""
-    upper = _unit_upper(family)
-    unit = MollifierSpec(family, d, 1.0)
-    val = lambda r: float(value_and_grad_factor(unit, r * r)[0])
-    gmag = lambda r: r * abs(float(value_and_grad_factor(unit, r * r)[1]))
-    mass = _radial_integral(val, d, upper)
-    m1 = _radial_integral(lambda r: r * val(r), d, upper)
-    m2 = _radial_integral(lambda r: r * r * val(r), d, upper)
-    l1_grad = _radial_integral(gmag, d, upper)
-    return mass, m1, m2, l1_grad
+# c_d with c_d (1 - |x|^2)^3 of mass one: 1 / (32/35) in d = 1, 1 / (pi/4) in d = 2.
+BUMP_NORMALISATION = {1: 35.0 / 32.0, 2: 4.0 / math.pi}
 
 
 def _unit_sup(family: str, d: int) -> float:
@@ -122,7 +95,7 @@ def _unit_sup_hessian(family: str, d: int) -> float:
     # both families (radial eigenvalue |p''(0)| dominates all r).
     if family == "gaussian":
         return _INV_SQRT_2PI ** d
-    return 6.0 * _bump_normalisation(d)
+    return 6.0 * BUMP_NORMALISATION[d]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +103,7 @@ def _unit_sup_hessian(family: str, d: int) -> float:
 
 def kernel_moments(spec: MollifierSpec) -> KernelMoments:
     """Mass, second moment, sup norms and the gradient L1 norm of V_eps."""
-    mass, _, m2_unit, l1g_unit = _unit_moments(spec.family, spec.d)
+    mass, _, m2_unit, l1g_unit = UNIT_MOMENTS[spec.family, spec.d]
     return KernelMoments(
         mass=mass,
         m2=spec.eps ** 2 * m2_unit,
@@ -142,12 +115,12 @@ def kernel_moments(spec: MollifierSpec) -> KernelMoments:
 
 def unit_m1(spec: MollifierSpec) -> float:
     """First absolute moment of the unit profile V_1."""
-    return _unit_moments(spec.family, spec.d)[1]
+    return UNIT_MOMENTS[spec.family, spec.d][1]
 
 
 def unit_m2(spec: MollifierSpec) -> float:
     """Second moment of the unit profile V_1."""
-    return _unit_moments(spec.family, spec.d)[2]
+    return UNIT_MOMENTS[spec.family, spec.d][2]
 
 
 def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
@@ -171,7 +144,7 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     t += 1.0
     np.maximum(t, 0.0, out=t)
     g = t * t
-    c = _bump_normalisation(spec.d) * scale
+    c = BUMP_NORMALISATION[spec.d] * scale
     t *= g
     t *= c
     g *= -6.0 * c * inv_eps2

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import transport
 from .energy import EnergyModel, energy_on_grid
 from .errors import CoverageError, DomainEscapeError, UnsupportedDensityError
 from .grids import QuadratureSpec
@@ -163,14 +164,30 @@ def step_count(T: float, dt: float) -> int:
     return max(1, int(np.ceil(T / dt - 1e-12)))
 
 
-def step_plan(T: float, dt: float | None, record_every: int, kernel: MollifierSpec, model: EnergyModel) -> tuple:
-    """(n_steps, dt) simulate integrates: step_count(T, dt) steps of T / n_steps, dt=None taking stable_dt."""
+def step_plan(
+    T: float, dt: float | None, record_every: int, kernel: MollifierSpec, model: EnergyModel, n: int
+) -> tuple:
+    """(n_steps, dt, w2) simulate integrates: step_count(T, dt) steps of T / n_steps, dt=None taking stable_dt.
+
+    w2(a, b) is the W2 step between two recorded (n, d) snapshots: sorted
+    order in 1d, the exact assignment in 2d up to ASSIGNMENT_CAP particles,
+    NaN beyond.  Picking the assignment loads its solver, so validation,
+    which calls this, pays that import during set-up and no step does.
+    """
     if dt is None:
         dt = stable_dt(kernel, model)
     n_steps = step_count(T, dt)
     if n_steps % record_every != 0:
         raise ValueError(f"record_every={record_every} must divide the {n_steps} steps")
-    return n_steps, T / n_steps
+    if kernel.d == 1:
+        w2 = lambda a, b: transport.w2_1d_positions(a[:, 0], b[:, 0])
+    elif n <= transport.ASSIGNMENT_CAP:
+        import scipy.optimize  # noqa: F401  (the solver w2_assignment_positions imports)
+
+        w2 = transport.w2_assignment_positions
+    else:
+        w2 = lambda a, b: float("nan")
+    return n_steps, T / n_steps, w2
 
 
 def stable_dt(kernel: MollifierSpec, model: EnergyModel) -> float:
@@ -201,27 +218,17 @@ def simulate(
     aborts the run (DomainEscapeError, carrying the snapshots recorded so
     far) rather than truncating integrals.
     """
-    from .transport import ASSIGNMENT_CAP, w2_1d_positions, w2_assignment_positions
-
-    n_steps, dt = step_plan(T, dt, record_every, kernel, model)
+    n_steps, dt, w2 = step_plan(T, dt, record_every, kernel, model, initial.n)
 
     def diag(ens, prev):
         grid = quad.grid_for(ens.positions, kernel)
-        entry = {
+        return {
             "t": ens.time,
             "energy": energy_on_grid(ens.positions, kernel, model, grid),
             "m2": float(np.mean(np.sum(ens.positions ** 2, axis=1))),
             "com": ens.center_of_mass(),
+            "dw_step": 0.0 if prev is None else w2(prev.positions, ens.positions),
         }
-        if prev is None:
-            entry["dw_step"] = 0.0
-        elif ens.d == 1:
-            entry["dw_step"] = w2_1d_positions(prev.positions[:, 0], ens.positions[:, 0])
-        elif ens.n <= ASSIGNMENT_CAP:
-            entry["dw_step"] = w2_assignment_positions(prev.positions, ens.positions)
-        else:
-            entry["dw_step"] = float("nan")
-        return entry
 
     ens = replace(initial, time=0.0)
     snapshots = [(0.0, ens)]

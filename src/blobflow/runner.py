@@ -44,13 +44,17 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
+    """The snapshots of a trajectory CSV, whose rows come grouped by snapshot in increasing t."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     d = data.shape[1] - 2
+    gaps = np.diff(data[:, 0])
+    if np.any(gaps < 0):
+        raise ValueError(f"{path}: rows must come grouped by snapshot in increasing t")
     snapshots = []
-    for t in np.unique(data[:, 0]):
-        block = data[data[:, 0] == t]
+    for block in np.split(data, np.flatnonzero(gaps) + 1):
         block = block[np.argsort(block[:, 1])]
-        snapshots.append((float(t), ParticleEnsemble(block[:, 2 : 2 + d], time=float(t))))
+        t = float(block[0, 0])
+        snapshots.append((t, ParticleEnsemble(block[:, 2 : 2 + d], time=t)))
     return Trajectory(snapshots=snapshots, diagnostics=[])
 
 
@@ -152,7 +156,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                     write_trajectory_csv(traj, out / "trajectory.csv")
                     write_diagnostics_csv(traj, out / "diagnostics.csv")
             manifest["invariants"] = particle_invariants(traj, kernel.family)
-            manifest["dt"] = step_plan(cfg.T, cfg.dt, cfg.record_every, kernel, model)[1]
+            manifest["dt"] = step_plan(cfg.T, cfg.dt, cfg.record_every, kernel, model, cfg.n_particles)[1]
         else:
             chain = run_jko(
                 initial.positions[:, 0],

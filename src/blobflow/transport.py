@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeLimitError
 
@@ -62,6 +61,8 @@ def w1_1d(a, b) -> DistanceReport:
 
 
 def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
+    from scipy.optimize import linear_sum_assignment  # ~0.5 s to import; 1d runs never assign
+
     a, b = _pos(a), _pos(b)
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     rows, cols = linear_sum_assignment(cost)
@@ -105,9 +106,3 @@ def m2(ens) -> float:
     """Second moment (1/N) sum |x_i|^2."""
     pos = _pos(ens)
     return float(np.mean(np.sum(pos * pos, axis=1)))
-
-
-def m1(ens) -> float:
-    """First absolute moment (1/N) sum |x_i|."""
-    pos = _pos(ens)
-    return float(np.mean(np.sqrt(np.sum(pos * pos, axis=1))))

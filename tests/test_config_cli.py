@@ -12,7 +12,8 @@ from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError
 from blobflow.grids import Grid, GridField, QuadratureSpec, write_field_csv
 from blobflow.kernels import MollifierSpec
-from blobflow.runner import converge, diagnose, execute, read_trajectory_csv
+from blobflow.particles import ParticleEnsemble, Trajectory
+from blobflow.runner import converge, diagnose, execute, read_trajectory_csv, write_trajectory_csv
 
 
 def particle_config(out, **overrides):
@@ -281,6 +282,20 @@ def test_field_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, field.values)
     assert back.grid.shape == (3, 4)
     assert back.grid.spacing == 0.5
+
+
+def test_trajectory_csv_roundtrip_and_row_order(tmp_path):
+    rng = np.random.default_rng(0)
+    snaps = [(t, ParticleEnsemble(rng.normal(size=(5, 2)), time=t)) for t in (0.0, 0.1, 0.30000000000000004)]
+    write_trajectory_csv(Trajectory(snapshots=snaps, diagnostics=[]), tmp_path / "t.csv")
+    back = read_trajectory_csv(tmp_path / "t.csv")
+    assert back.times().tolist() == [t for t, _ in snaps]
+    for (_, a), (_, b) in zip(snaps, back.snapshots):
+        np.testing.assert_array_equal(a.positions, b.positions)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    (tmp_path / "r.csv").write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    with pytest.raises(ValueError, match="increasing t"):
+        read_trajectory_csv(tmp_path / "r.csv")
 
 
 def test_cli_converge(tmp_path):

@@ -260,6 +260,10 @@ def test_time_residuals_match_prefix_trapezoids(k, seed):
     got = _time_residuals(lhs, rate, times)
     scale = np.abs(lhs).max() + np.sum(np.abs(rate[1:] + rate[:-1]) * np.diff(times))
     np.testing.assert_allclose(got, _prefix_trapezoid_residuals(lhs, rate, times), rtol=0, atol=1e-12 * scale)
+    # bit for bit the scipy pass it replaced
+    from scipy.integrate import cumulative_trapezoid
+
+    np.testing.assert_array_equal(got, np.abs(lhs - cumulative_trapezoid(rate, times, initial=0.0)))
 
 
 def test_weak_form_residual_matches_prefix_trapezoids():

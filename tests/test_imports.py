@@ -1,0 +1,79 @@
+"""What a fresh interpreter imports, and when.
+
+``import blobflow`` loads numpy and not the heavy scipy subpackages; each
+of those loads only where a run needs it, and never inside a timed run:
+after the set-up a CLI invocation pays (parse and validate the config,
+sample the initial ensemble, the kernel moments), running a benchmark
+workload first-imports no numpy or scipy module.  Each check runs in its
+own interpreter, since a module any earlier test imported would hide it.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg", "scipy.signal", "scipy.sparse")
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import DEFAULT_SEED, WORKLOADS, level_for  # noqa: E402
+
+
+def _fresh(code: str):
+    """Run code in a new interpreter with src/ and perfbench/ importable; the JSON it prints last."""
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_import_loads_no_heavy_scipy():
+    loaded = _fresh("import json, sys, blobflow, blobflow.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
+@pytest.mark.parametrize("d, loads", [(1, False), (2, True)])
+def test_validating_a_particle_config_loads_the_assignment_solver_in_2d(d, loads):
+    density = {"kind": "barenblatt", "m": 2.0}
+    cfg = {
+        "kernel": {"family": "gaussian", "eps": 0.3, "d": d},
+        "energy": {"kind": "power", "m": 2.0},
+        "n_particles": 16,
+        "T": 0.002,
+        "dt": 0.001,
+        "initial": {"kind": "quantile", "density": density if d == 1 else {"kind": "product", "axes": [density] * 2}},
+    }
+    loaded = _fresh(
+        "import json, sys\n"
+        "from blobflow.config import ExperimentConfig\n"
+        f"ExperimentConfig.from_dict(json.loads({json.dumps(json.dumps(cfg))}))\n"
+        "print(json.dumps('scipy.optimize' in sys.modules))"
+    )
+    assert loaded is loads
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_benchmark_run_first_imports_nothing_after_set_up(tmp_path, name):
+    wl = WORKLOADS[name]
+    raw = wl.config(level_for(DEFAULT_SEED), str(tmp_path / "run"))
+    late, ok = _fresh(
+        "import json, sys\n"
+        "from blobflow import runner\n"
+        "from blobflow.config import ExperimentConfig\n"
+        "from blobflow.kernels import kernel_moments\n"
+        f"cfg = ExperimentConfig.from_dict(json.loads({json.dumps(json.dumps(raw))}))\n"
+        "cfg.initial_ensemble()\n"
+        "kernel_moments(cfg.kernel_spec())\n"
+        "before = set(sys.modules)\n"
+        "result = runner.execute(cfg, cfg.output_dir)\n"
+        + "runner.diagnose(cfg.output_dir)\n" * wl.diagnose
+        + "late = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "print(json.dumps([late, result.ok]))"
+    )
+    assert ok
+    assert late == []

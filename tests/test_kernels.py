@@ -6,7 +6,9 @@ from scipy import integrate
 
 from blobflow.grids import GridField
 from blobflow.kernels import (
+    BUMP_NORMALISATION,
     GAUSSIAN_TRUNCATION,
+    UNIT_MOMENTS,
     MollifierSpec,
     grad_on_pairs,
     kernel_moments,
@@ -99,6 +101,28 @@ def test_gaussian_unit_moments():
     assert unit_m1(MollifierSpec("gaussian", 1, 1.0)) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-10)
 
 
+def _radial_quad(profile, d, upper):
+    """Integral of profile(|x|) over R^d by adaptive quadrature on the radius (tolerance 1e-12)."""
+    weight = (lambda r: 2.0) if d == 1 else (lambda r: 2.0 * np.pi * r)
+    return integrate.quad(lambda r: weight(r) * profile(r), 0.0, upper, limit=200, epsabs=1e-12, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bump"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_moment_table_matches_radial_quadrature(family, d):
+    # the quadrature the closed forms replaced: mass, m1, m2 and |grad| of the unit profile
+    unit = MollifierSpec(family, d, 1.0)
+    upper = 1.0 if family == "bump" else np.inf
+    val = lambda r: float(value_and_grad_factor(unit, r * r)[0])
+    gmag = lambda r: r * abs(float(value_and_grad_factor(unit, r * r)[1]))
+    oracle = [_radial_quad(lambda r, p=p: r ** p * val(r), d, upper) for p in (0, 1, 2)]
+    oracle.append(_radial_quad(gmag, d, upper))
+    np.testing.assert_allclose(UNIT_MOMENTS[family, d], oracle, rtol=1e-14, atol=0)
+    if family == "bump":
+        raw = _radial_quad(lambda r: (1.0 - r * r) ** 3, d, 1.0)
+        assert BUMP_NORMALISATION[d] == pytest.approx(1.0 / raw, rel=1e-14, abs=0)
+
+
 def test_bump_m2_against_riemann_sum():
     # independent oracle: high-resolution Riemann sum on the exact support
     spec = MollifierSpec("bump", 1, 1.0)
@@ -161,19 +185,6 @@ def test_evenness_bulk_random():
         x = rng.uniform(-3, 3, size=(1000, 1))
         np.testing.assert_array_equal(value_on_pairs(spec, x), value_on_pairs(spec, -x))
         np.testing.assert_array_equal(grad_on_pairs(spec, x), -grad_on_pairs(spec, -x))
-
-
-def test_quadrature_failure_signalled():
-    from blobflow.errors import QuadratureError
-    from blobflow.kernels import _radial_integral
-
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(QuadratureError):
-            # wildly oscillatory integrand: the adaptive rule cannot converge
-            _radial_integral(lambda r: np.cos(1e7 * r * r), 1, np.inf)
 
 
 def test_invalid_specs_rejected():

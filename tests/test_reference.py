@@ -28,6 +28,17 @@ def test_profile_constants_m2():
     assert prof.support_radius(0.0) == pytest.approx(3 ** (2 / 3), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_front_constant_matches_scipy_beta(m, d):
+    from scipy.special import beta, gamma
+
+    prof = BarenblattProfile(m=m, d=d)
+    shape = np.pi ** (d / 2.0) / gamma(d / 2.0) * beta(d / 2.0, m / (m - 1.0))
+    want = (prof.k ** (d / 2.0) / shape) ** (1.0 / (1.0 / (m - 1.0) + d / 2.0))
+    assert prof.front_constant == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_profile_outside_support_and_mass():
     prof = BarenblattProfile(m=2.0, d=1)
     r = prof.support_radius(0.0)

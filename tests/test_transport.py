@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from blobflow.errors import SizeLimitError
 from blobflow.particles import ParticleEnsemble
-from blobflow.transport import m1, m2, w1_1d, w2_1d, w2_1d_refined, w2_assignment
+from blobflow.transport import m2, w1_1d, w2_1d, w2_1d_refined, w2_assignment
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -102,7 +102,6 @@ def test_mismatch_errors():
 
 def test_moments():
     assert m2(np.array([[3.0]])) == 9.0
-    assert m1(np.array([[3.0], [-1.0]])) == 2.0
     ens = ParticleEnsemble(np.array([[1.0, 2.0], [0.0, 0.0]]))
     assert m2(ens) == pytest.approx(2.5)
 
