@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnergyDomainError
-from .grids import Grid, GridField, QuadratureSpec, lattice_nodes
+from .grids import Grid, GridField, QuadratureSpec, Window, lattice_nodes
 from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
@@ -92,15 +92,27 @@ class EnergyModel:
         return x
 
 
-def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid) -> np.ndarray:
-    """(1/N) sum_j V_eps(. - x_j) sampled on the grid nodes, flat (G,).
+@dataclass(frozen=True)
+class Deposit:
+    """One state's V_eps * rho^N on a grid, with the window and the pair values it came from.
 
-    The particle->grid deposit of the energy and the gridded reconstructions
-    in ``fields``: each particle adds V_eps onto the nodes within its reach.
+    The energy reads ``density``, the velocity gathers F'(density) back
+    through ``win`` and ``g``, and the error term deposits ``v`` again.
     """
+
+    grid: Grid
+    win: Window
+    v: np.ndarray  # (N, W^d) V_eps(node - x) per pair
+    g: np.ndarray  # (N, W^d) g_eps(|node - x|^2) per pair, grad V_eps(y) = y g_eps(|y|^2)
+    density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
+
+
+def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid) -> Deposit:
+    """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win = grid.window(pos, kernel.padding_radius())
-    return win.deposit(value_and_grad_factor(kernel, win.r2)[0]) / len(pos)
+    v, g = value_and_grad_factor(kernel, win.r2)
+    return Deposit(grid, win, v, g, win.deposit(v) / len(pos))
 
 
 def regularized_energy(
@@ -119,13 +131,12 @@ def regularized_energy(
         conv = convolve_field(rho, kernel)
         return conv.integrate(model.f_eval(conv.values))
     positions = getattr(rho, "positions", rho)
-    return energy_on_grid(positions, kernel, model, quad.grid_for(positions, kernel))
+    return energy_on_grid(mollified_density(positions, kernel, quad.grid_for(positions, kernel)), model)
 
 
-def energy_on_grid(positions, kernel, model, grid) -> float:
-    """E_eps of a particle ensemble on a caller-pinned grid."""
-    v = mollified_density(positions, kernel, grid)
-    return float(np.dot(grid.trapezoid_weights(), model.f_eval(v)))
+def energy_on_grid(dep: Deposit, model: EnergyModel) -> float:
+    """E_eps of a deposited ensemble on its grid."""
+    return float(np.dot(dep.grid.trapezoid_weights(), model.f_eval(dep.density)))
 
 
 # Lattice convolution method per dimension: direct sums on a line (numpy's
@@ -140,7 +151,7 @@ def convolve_field(field: GridField, kernel: MollifierSpec) -> GridField:
     support.  The field spacing should resolve the kernel (h <= eps/4) for
     quadrature-grade accuracy; discrete Young's inequality holds regardless.
     """
-    from scipy.signal import convolve  # ~0.5 s to import; only gridded densities and the bump's W_eps need it
+    from scipy.signal import convolve  # ~0.5 s to import; only the energy of a gridded density needs it
 
     h, d = field.grid.spacing, field.d
     nk = int(np.ceil(kernel.padding_radius() / h))

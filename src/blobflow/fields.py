@@ -21,8 +21,8 @@ import numpy as np
 from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
 from .grids import Grid, GridField, QuadratureSpec
-from .kernels import MollifierSpec, kernel_moments, unit_m1, value_and_grad_factor
-from .particles import ParticleEnsemble, Trajectory, velocity_on_grid
+from .kernels import MollifierSpec, kernel_moments, unit_m1
+from .particles import ParticleEnsemble, Trajectory, velocity
 
 CLAMP = 1e-14  # values below this are treated as exact zeros before powering
 
@@ -31,7 +31,7 @@ def mollify(ens: ParticleEnsemble, kernel: MollifierSpec, grid: Grid) -> GridFie
     """V_eps * rho^N sampled on the grid; mass is ~1 when coverage holds."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    return GridField(grid, mollified_density(ens.positions, kernel, grid).reshape(grid.shape))
+    return GridField(grid, mollified_density(ens.positions, kernel, grid).density.reshape(grid.shape))
 
 
 def mollify_auto(ens: ParticleEnsemble, kernel: MollifierSpec, quad: QuadratureSpec = QuadratureSpec()) -> GridField:
@@ -141,21 +141,18 @@ def error_term_z(
     """Commutator error z = V_eps*(rho grad phi) - (grad phi) V_eps*rho."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    pos = ens.positions
-    win = grid.window(pos, kernel.padding_radius())
-    vker = value_and_grad_factor(kernel, win.r2)[0]  # (N, W^d)
-    v = win.deposit(vker) / ens.n  # V_eps * rho^N, as mollified_density deposits it
-    gp_part = phi.grad(pos)  # (N,) or (N, d)
+    dep = mollified_density(ens.positions, kernel, grid)
+    gp_part = phi.grad(ens.positions)  # (N,) or (N, d)
     gp_node = phi.grad(grid.nodes())  # (G,) or (G, d)
     if ens.d == 1:
         gp_part = gp_part[:, None]
         gp_node = gp_node[:, None]
-    carried = np.stack([win.deposit(vker * g[:, None]) for g in gp_part.T], axis=-1)  # V_eps * (rho grad phi)
-    z = carried / ens.n - v[:, None] * gp_node
+    carried = np.stack([dep.win.deposit(dep.v * g[:, None]) for g in gp_part.T], axis=-1)  # V_eps * (rho grad phi)
+    z = carried / ens.n - dep.density[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
     l1 = float(np.dot(grid.trapezoid_weights(), znorm))
     bound = kernel.eps * phi.sup_hess() * unit_m1(kernel)
-    ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * v + 1e-12 * kernel_moments(kernel).sup_v))
+    ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * dep.density + 1e-12 * kernel_moments(kernel).sup_v))
     return ErrorTermReport(
         field=z.reshape(grid.shape + (ens.d,)),
         l1_norm=l1,
@@ -221,8 +218,7 @@ def weak_form_residual(
     lhs = np.empty(times.size)
     phi0 = float(np.mean(phi.value(traj.snapshots[0][1].positions)))
     for k, (_, ens) in enumerate(traj.snapshots):
-        grid = quad.grid_for(ens.positions, kernel)
-        vel = velocity_on_grid(ens.positions, kernel, model, grid)
+        vel = velocity(ens, kernel, model, quad)
         gp = phi.grad(ens.positions)
         if ens.d == 1:
             gp = gp[:, None]

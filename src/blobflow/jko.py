@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, energy_on_grid
+from .energy import EnergyModel, energy_on_grid, mollified_density
 from .errors import ConvergenceError
 from .fields import mollify, sobolev_seminorm_m2
 from .grids import GridField, QuadratureSpec
@@ -185,23 +185,24 @@ def jko_step(
             "proximal step moved particles beyond every retried grid extension",
             residual=result["grad_sup"],
         )
-    y, j_val, iters, gsup = result["y"], result["objective"], result["iterations"], result["grad_sup"]
+    y, j_val, dep = result["y"], result["objective"], result["deposit"]
+    iters, gsup = result["iterations"], result["grad_sup"]
 
     if np.any(np.diff(y) < 0):
         # Off-manifold wander: resort (energy is permutation invariant and
         # the aligned quadratic only decreases) and re-verify the descent.
         y = np.sort(y)
-        j_sorted = _objective(y, x, tau, n, kernel, model, grid)
+        j_sorted, dep = _objective(y, x, tau, n, kernel, model, grid)
         if j_sorted > j_val + 1e-12 * (1.0 + abs(j_val)):
             raise ConvergenceError("sorted projection increased the objective", residual=gsup)
         j_val = j_sorted
 
     state = JkoState(positions=y, tau=tau, step_index=prev.step_index + 1, objective=j_val)
-    field = mollify(state.ensemble(), kernel, grid)
+    field = GridField(grid, dep.density.reshape(grid.shape))  # the accepted trial's own deposit
     record = StepRecord(
         n=state.step_index,
         energy_prev=result["start"],
-        energy=float(np.dot(grid.trapezoid_weights(), model.f_eval(field.values.ravel()))),
+        energy=field.integrate(model.f_eval(field.values)),
         dw2=float(np.mean((y - x) ** 2)),
         entropy=boltzmann_entropy(field),
         fi_term=tau * sobolev_seminorm_m2(field, model.m),
@@ -213,21 +214,23 @@ def jko_step(
 
 
 def _objective(y, x, tau, n, kernel, model, grid):
-    quadratic = float(np.sum((y - x) ** 2)) / (2.0 * tau * n)
-    return quadratic + energy_on_grid(y[:, None], kernel, model, grid)
+    """J(y) on the step's grid, and the deposit of y it was evaluated from."""
+    dep = mollified_density(y[:, None], kernel, grid)
+    return float(np.sum((y - x) ** 2)) / (2.0 * tau * n) + energy_on_grid(dep, model), dep
 
 
 def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
     n = x.size
     y = x.copy()
     # at y = x the quadratic term is exactly 0.0, so this is E_eps[x] on the step's grid
-    j_start = j_cur = _objective(y, x, tau, n, kernel, model, grid)
+    j_cur, dep = _objective(y, x, tau, n, kernel, model, grid)
+    j_start = j_cur
     alpha = tau * n
     alpha_max = 10.0 * tau * n
     iters = 0
     gsup = np.inf
     for iters in range(1, max_iter + 1):
-        vel = velocity_on_grid(y[:, None], kernel, model, grid)[:, 0]
+        vel = velocity_on_grid(dep, model)[:, 0]
         grad = ((y - x) / tau - vel) / n
         gsup = float(np.max(np.abs(grad)))
         if gsup <= gtol:
@@ -236,9 +239,9 @@ def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             y_try = y - alpha * grad
-            j_try = _objective(y_try, x, tau, n, kernel, model, grid)
+            j_try, dep_try = _objective(y_try, x, tau, n, kernel, model, grid)
             if j_try <= j_cur - ARMIJO_C1 * alpha * gnorm2:
-                y, j_cur = y_try, j_try
+                y, j_cur, dep = y_try, j_try, dep_try
                 alpha = min(1.5 * alpha, alpha_max)
                 accepted = True
                 break
@@ -256,7 +259,7 @@ def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
             f"JKO inner optimiser hit {max_iter} iterations, sup-gradient {gsup:.3e}",
             residual=gsup,
         )
-    return {"y": y, "objective": j_cur, "start": j_start, "iterations": iters, "grad_sup": gsup}
+    return {"y": y, "objective": j_cur, "deposit": dep, "start": j_start, "iterations": iters, "grad_sup": gsup}
 
 
 def run_jko(

@@ -164,21 +164,11 @@ def grad_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
     return u * g[..., None]
 
 
-def self_convolution(spec: MollifierSpec):
-    """W_eps = V_eps * V_eps.
+def self_convolution(spec: MollifierSpec) -> MollifierSpec:
+    """W_eps = V_eps * V_eps, for the gaussian family again a gaussian kernel, of width sqrt(2)*eps.
 
-    For the gaussian family the convolution is again a gaussian kernel of
-    width sqrt(2)*eps and a MollifierSpec is returned.  For the bump family
-    the convolution has no closed form; V_eps is sampled at spacing eps/64
-    on its support and convolved with itself, giving a grid-sampled field on
-    exactly supp W_eps = [-2 eps, 2 eps]^d.
+    The bump family's self-convolution has no closed form and is refused.
     """
-    if spec.family == "gaussian":
-        return spec.with_eps(np.sqrt(2.0) * spec.eps)
-
-    # local imports: grids does not import kernels, energy does
-    from .energy import convolve_field
-    from .grids import GridField, cover_points
-
-    grid = cover_points(np.zeros((1, spec.d)), spec.padding_radius(), spec.eps / 64.0)
-    return convolve_field(GridField(grid, value_on_pairs(spec, grid.nodes()).reshape(grid.shape)), spec)
+    if spec.family != "gaussian":
+        raise ValueError("V_eps * V_eps has a closed form for the gaussian family only")
+    return spec.with_eps(np.sqrt(2.0) * spec.eps)

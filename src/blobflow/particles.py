@@ -12,9 +12,9 @@ each particle touches only the nodes within R, found in its box of
 W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  One kernel
 evaluation on the box's squared distances gives both V_eps and the factor
 g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
-from V_eps, and each particle's velocity component k is the sum over its
-box of the node-minus-particle offset along k times g_eps F' w, in
-O(N W^d) time and memory however large the grid.
+from V_eps (``energy.Deposit``), and each particle's velocity component k
+is the sum over its box of the node-minus-particle offset along k times
+g_eps F' w, in O(N W^d) time and memory however large the grid.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -27,10 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport
-from .energy import EnergyModel, energy_on_grid
+from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
 from .errors import CoverageError, DomainEscapeError, UnsupportedDensityError
 from .grids import QuadratureSpec
-from .kernels import MollifierSpec, grad_on_pairs, self_convolution, value_and_grad_factor
+from .kernels import MollifierSpec, grad_on_pairs, self_convolution
 
 INTEGRATORS = ("euler", "heun", "rk4")
 
@@ -87,23 +87,19 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def velocity_on_grid(positions: np.ndarray, kernel: MollifierSpec, model: EnergyModel, grid) -> np.ndarray:
-    """Blob velocities against a caller-pinned quadrature grid.
+def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
+    """Blob velocities gathered from a deposit on its own grid.
 
-    One window and one kernel evaluation serve the deposit and the gather.
     F' is read only where the deposit is nonzero: nothing else is gathered,
     and the entropy's F' is undefined at zero density.
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    win = grid.window(pos, kernel.padding_radius())
-    v, g = value_and_grad_factor(kernel, win.r2)
-    v_tilde = win.deposit(v) / len(pos)
-    wf = np.zeros_like(v_tilde)
-    held = v_tilde != 0.0
-    wf[held] = grid.trapezoid_weights()[held] * model.f_prime(v_tilde[held])
+    wf = np.zeros_like(dep.density)
+    held = dep.density != 0.0
+    wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
-    g *= wf[win.lin]
-    return win.contract(g)
+    gw = wf[dep.win.lin]
+    gw *= dep.g
+    return dep.win.contract(gw)
 
 
 def velocity(
@@ -114,13 +110,11 @@ def velocity(
 ) -> np.ndarray:
     """Particle velocities on a fresh shared grid covering the ensemble."""
     grid = quad.grid_for(ens.positions, kernel)
-    return velocity_on_grid(ens.positions, kernel, model, grid)
+    return velocity_on_grid(mollified_density(ens.positions, kernel, grid), model)
 
 
 def pairwise_velocity_m2(positions: np.ndarray, kernel: MollifierSpec) -> np.ndarray:
-    """Closed-form velocities for F(x) = x^2: -(2/N) sum_j grad W_eps(x_i - x_j)."""
-    if kernel.family != "gaussian":
-        raise ValueError("closed-form pairwise route requires the gaussian family")
+    """Closed-form velocities for F(x) = x^2: -(2/N) sum_j grad W_eps(x_i - x_j); gaussian family only."""
     w_eps = self_convolution(kernel)
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     gw = grad_on_pairs(w_eps, pos[:, None, :] - pos[None, :, :])
@@ -134,22 +128,22 @@ def step(
     model: EnergyModel,
     quad: QuadratureSpec = QuadratureSpec(),
     integrator: str = "rk4",
+    k1: np.ndarray | None = None,
 ) -> ParticleEnsemble:
-    """Advance one time step; weights are untouched, so mass is exact."""
+    """Advance one time step, from the caller's velocity k1 at ens if given; weights are untouched, so mass is exact."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}; choose from {INTEGRATORS}")
     x = ens.positions
-    f = lambda y: velocity_on_grid(y, kernel, model, quad.grid_for(y, kernel))
+    f = lambda y: velocity_on_grid(mollified_density(y, kernel, quad.grid_for(y, kernel)), model)
+    k1 = f(x) if k1 is None else k1
     if integrator == "euler":
-        xn = x + dt * f(x)
+        xn = x + dt * k1
     elif integrator == "heun":
-        k1 = f(x)
         k2 = f(x + dt * k1)
         xn = x + 0.5 * dt * (k1 + k2)
     else:
-        k1 = f(x)
         k2 = f(x + 0.5 * dt * k1)
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
@@ -213,37 +207,39 @@ def simulate(
 ) -> Trajectory:
     """Integrate the blob ODE to time T, recording every record_every steps.
 
-    The energy diagnostic uses the same quadrature policy as the velocity.
-    With a pinned quadrature domain, a particle reaching the boundary ring
-    aborts the run (DomainEscapeError, carrying the snapshots recorded so
-    far) rather than truncating integrals.
+    A recorded snapshot is deposited once: its energy diagnostic and the
+    next step's first-stage velocity read the same deposit.  With a pinned
+    quadrature domain, a particle reaching the boundary ring, at a step or
+    at a snapshot, aborts the run (DomainEscapeError, carrying the snapshots
+    recorded before) rather than truncating integrals.
     """
     n_steps, dt, w2 = step_plan(T, dt, record_every, kernel, model, initial.n)
 
-    def diag(ens, prev):
-        grid = quad.grid_for(ens.positions, kernel)
-        return {
+    def record(ens, last):
+        """Append the snapshot and its diagnostics; return the next step's first-stage velocity, unless last."""
+        dep = mollified_density(ens.positions, kernel, quad.grid_for(ens.positions, kernel))
+        diagnostics.append({
             "t": ens.time,
-            "energy": energy_on_grid(ens.positions, kernel, model, grid),
+            "energy": energy_on_grid(dep, model),
             "m2": float(np.mean(np.sum(ens.positions ** 2, axis=1))),
             "com": ens.center_of_mass(),
-            "dw_step": 0.0 if prev is None else w2(prev.positions, ens.positions),
-        }
+            "dw_step": w2(snapshots[-1][1].positions, ens.positions) if snapshots else 0.0,
+        })
+        snapshots.append((ens.time, ens))
+        return None if last else velocity_on_grid(dep, model)
 
+    snapshots, diagnostics = [], []
     ens = replace(initial, time=0.0)
-    snapshots = [(0.0, ens)]
-    diagnostics = [diag(ens, None)]
+    k1 = record(ens, False)
     for k in range(1, n_steps + 1):
         try:
-            ens = step(ens, dt, kernel, model, quad, integrator)
+            ens = step(ens, dt, kernel, model, quad, integrator, k1)
+            k1 = record(ens, k == n_steps) if k % record_every == 0 else None
         except CoverageError as exc:
             raise DomainEscapeError(
                 f"particles escaped the quadrature box at step {k} (t={k * dt:.6g}): {exc}",
                 Trajectory(snapshots=snapshots, diagnostics=diagnostics),
             ) from exc
-        if k % record_every == 0:
-            snapshots.append((ens.time, ens))
-            diagnostics.append(diag(ens, snapshots[-2][1]))
     return Trajectory(snapshots=snapshots, diagnostics=diagnostics)
 
 

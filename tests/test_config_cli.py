@@ -198,6 +198,18 @@ def test_domain_escape_keeps_the_snapshots_before_it(tmp_path):
     assert len(traj) == 1 + 2 * 8
     assert read_trajectory_csv(tmp_path / "f" / "trajectory.csv").times().tolist() == [0.0, 0.005]
     assert len((tmp_path / "f" / "diagnostics.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_domain_escape_at_a_recorded_snapshot_keeps_the_snapshots_before_it(tmp_path):
+    # recorded every step, the escape is seen by the snapshot's own deposit after step 8
+    cfg = particle_config(
+        tmp_path / "f", quadrature={"domain": [[-3.05, 3.05]]}, integrator="euler", record_every=1
+    )
+    manifest = execute(ExperimentConfig.from_dict(cfg)).manifest
+    assert manifest["error"].startswith("DomainEscapeError: particles escaped the quadrature box at step 8")
+    times = read_trajectory_csv(tmp_path / "f" / "trajectory.csv").times()
+    np.testing.assert_allclose(times, 1e-3 * np.arange(8), rtol=0, atol=1e-15)
+    assert len((tmp_path / "f" / "diagnostics.csv").read_text().splitlines()) == 1 + 8
     on_disk = json.loads((tmp_path / "f" / "manifest.json").read_text())
     assert on_disk["error"] == manifest["error"] and on_disk["traceback"] == manifest["traceback"]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blobflow.energy import EnergyModel
+from blobflow.energy import EnergyModel, mollified_density
 from blobflow.errors import CoverageError
 from blobflow.fields import (
     TestFunction,
@@ -272,7 +272,8 @@ def test_weak_form_residual_matches_prefix_trapezoids():
     phi = TestFunction("gaussian_bump", np.zeros(1), 1.5)
     pairing, lhs = [], []
     for _, ens in traj.snapshots:
-        vel = velocity_on_grid(ens.positions, kernel, M2, QuadratureSpec().grid_for(ens.positions, kernel))
+        grid = QuadratureSpec().grid_for(ens.positions, kernel)
+        vel = velocity_on_grid(mollified_density(ens.positions, kernel, grid), M2)
         pairing.append(float(np.mean(np.sum(phi.grad(ens.positions)[:, None] * vel, axis=1))))
         lhs.append(float(np.mean(phi.value(ens.positions))) - float(np.mean(phi.value(traj.snapshots[0][1].positions))))
     lhs = np.array(lhs)

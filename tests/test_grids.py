@@ -15,7 +15,7 @@ from scipy.signal import fftconvolve
 
 from blobflow.energy import convolve_field
 from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, write_csv
-from blobflow.kernels import MollifierSpec, self_convolution, value_on_pairs
+from blobflow.kernels import MollifierSpec, value_on_pairs
 from blobflow.reference import BarenblattProfile
 from blobflow.runner import emit_reference
 
@@ -122,25 +122,6 @@ def test_convolve_field_matches_per_dimension_body(family, d):
     else:
         # the taps are scaled by h**2 instead of h*h: one rounding apart
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.max(want))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_bump_self_convolution_matches_old_padded_grid(d):
-    spec = MollifierSpec("bump", d, 0.6)
-    w = self_convolution(spec)
-    # the old construction: samples on [-2eps, 2eps]^d, convolved onto [-4eps, 4eps]^d
-    h = spec.eps / 64.0
-    axis = -2.0 * spec.eps + h * np.arange(257)
-    pts = axis[:, None] if d == 1 else np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    samples = value_on_pairs(spec, pts)
-    old = (np.convolve(samples, samples) if d == 1 else fftconvolve(samples, samples)) * h ** d
-    assert w.grid.shape == (257,) * d
-    np.testing.assert_allclose(w.grid.origin, -2.0 * spec.eps, rtol=0, atol=1e-15)
-    inner = old[(slice(128, 385),) * d]
-    np.testing.assert_allclose(w.values, inner, rtol=0.0, atol=1e-15 * np.max(old))
-    ring = old.copy()
-    ring[(slice(128, 385),) * d] = 0.0
-    assert np.max(np.abs(ring)) <= 1e-15 * np.max(old)  # what the tighter grid drops
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.d}-{'x'.join(map(str, g.shape))}")

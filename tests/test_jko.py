@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blobflow.energy import EnergyModel, energy_on_grid
+from blobflow.energy import EnergyModel, energy_on_grid, mollified_density
 from blobflow.fields import mollify, sobolev_seminorm_m2
 from blobflow.grids import Grid, GridField, QuadratureSpec
 from blobflow.jko import (
@@ -84,15 +84,15 @@ def test_inner_gradient_matches_finite_differences():
     tau = 5e-3
     grid = _step_grid(x, K, QuadratureSpec(), slack=K.eps)
     y = x + 1e-3 * rng.normal(size=x.size)
-    vel = velocity_on_grid(y[:, None], K, M2, grid)[:, 0]
+    vel = velocity_on_grid(mollified_density(y[:, None], K, grid), M2)[:, 0]
     grad = ((y - x) / tau - vel) / x.size
     h = 1e-6
     for i in (0, 5, 11):
         e = np.zeros_like(y)
         e[i] = h
         fd = (
-            _objective(y + e, x, tau, x.size, K, M2, grid)
-            - _objective(y - e, x, tau, x.size, K, M2, grid)
+            _objective(y + e, x, tau, x.size, K, M2, grid)[0]
+            - _objective(y - e, x, tau, x.size, K, M2, grid)[0]
         ) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=5e-5, abs=1e-10)
 
@@ -168,7 +168,7 @@ def test_energy_prev_consistency_across_grids():
     chain = run_jko(x0, K, M2, tau=TAU, n_steps=2)
     r = chain.records[1]
     grid = QuadratureSpec().grid_for(chain.states[1].positions[:, None], K)
-    fresh = energy_on_grid(chain.states[1].positions[:, None], K, M2, grid)
+    fresh = energy_on_grid(mollified_density(chain.states[1].positions[:, None], K, grid), M2)
     assert r.energy_prev == pytest.approx(fresh, rel=1e-10)
 
 
@@ -218,7 +218,8 @@ def _counting(calls, name, fn):
 
 
 def test_one_deposit_per_objective_and_velocity_call(monkeypatch):
-    # E_eps of the previous state is the solve's starting objective, not a deposit of its own
+    # E_eps of the previous state is the solve's starting objective, not a deposit of its own;
+    # each velocity and the step record read the accepted trial's deposit
     import blobflow.jko as jko
 
     calls = {"window": 0, "objective": 0, "velocity": 0}
@@ -228,7 +229,7 @@ def test_one_deposit_per_objective_and_velocity_call(monkeypatch):
     x0 = BarenblattProfile(m=2.0, d=1).quantile_ensemble(32).positions[:, 0]
     jko_step(JkoState(positions=x0, tau=TAU, step_index=0, objective=np.nan), K, M2)
     assert calls["objective"] > 1 and calls["velocity"] > 1
-    assert calls["window"] == calls["objective"] + calls["velocity"] + 1  # + the final mollify
+    assert calls["window"] == calls["objective"]
 
 
 def test_energy_prev_is_the_previous_energy_on_the_step_grid():
@@ -237,7 +238,7 @@ def test_energy_prev_is_the_previous_energy_on_the_step_grid():
     for _ in range(3):
         nxt, record = jko_step(state, K, M2)
         grid = _step_grid(state.positions, K, QuadratureSpec(), slack=K.eps)
-        assert record.energy_prev == energy_on_grid(state.positions[:, None], K, M2, grid)
+        assert record.energy_prev == energy_on_grid(mollified_density(state.positions[:, None], K, grid), M2)
         state = nxt
 
 

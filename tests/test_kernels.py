@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from blobflow.grids import GridField
 from blobflow.kernels import (
     BUMP_NORMALISATION,
     GAUSSIAN_TRUNCATION,
@@ -150,28 +149,10 @@ def test_self_convolution_gaussian_closed_form():
     assert kernel_moments(w).mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_self_convolution_bump_2d_mass():
-    w = self_convolution(MollifierSpec("bump", 2, 0.6))
-    assert isinstance(w, GridField)
-    assert w.mass() == pytest.approx(1.0, abs=1e-5)
-    assert np.all(w.values >= -1e-10)
-
-
-def test_self_convolution_bump_against_quadrature():
-    spec = MollifierSpec("bump", 1, 0.5)
-    w = self_convolution(spec)
-    assert isinstance(w, GridField)
-    assert w.mass() == pytest.approx(1.0, abs=1e-6)
-    axis = w.grid.axes()[0]
-    assert np.all(w.values >= -1e-12)
-    np.testing.assert_allclose(w.values, w.values[::-1], atol=1e-12)  # even
-    # direct quadrature of int V(z-y) V(y) dy at five sample nodes
-    for idx in np.linspace(10, axis.size - 11, 5).astype(int):
-        z = axis[idx]
-        val, _ = integrate.quad(
-            lambda y: value_on_pairs(spec, np.array([z - y])) * value_on_pairs(spec, np.array([y])), -0.5, 0.5, limit=200
-        )
-        assert abs(w.values[idx] - val) <= 1e-6
+@pytest.mark.parametrize("d", [1, 2])
+def test_self_convolution_refuses_the_bump_family(d):
+    with pytest.raises(ValueError, match="gaussian family only"):
+        self_convolution(MollifierSpec("bump", d, 0.5))
 
 
 def test_padding_radius():

@@ -1,0 +1,33 @@
+"""One particle->grid deposit path: only ``energy.mollified_density`` opens a window.
+
+The energy, the velocity, the gridded fields and the error term all read
+the ``energy.Deposit`` that function builds, so a function anywhere else
+in the package that calls ``.window(`` is a second window->evaluate->deposit
+copy, and fails here.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blobflow"
+
+
+def _window_callers() -> set:
+    """(module, qualified name) of every package function whose own body calls ``.window(``."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "window":
+                found.add((module, owner or "<module>"))
+            visit(child, module, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_only_mollified_density_opens_a_window():
+    assert _window_callers() == {("energy", "mollified_density")}

@@ -229,6 +229,28 @@ def test_assignment_cap_is_the_transport_cap(monkeypatch):
     assert dw[0] == 0.0 and len(dw) == 3 and all(np.isnan(x) for x in dw[1:])
 
 
+def test_recorded_snapshot_deposit_is_the_next_steps_first_stage(monkeypatch):
+    # recorded every step, each snapshot's deposit gives its energy and the next Euler step
+    from blobflow.grids import Grid
+
+    initial = BarenblattProfile(m=2.0, d=1).quantile_ensemble(32)
+    steps, dt = 6, 1e-3
+    last = simulate(initial, K_G, M2, T=steps * dt, dt=dt, integrator="euler", record_every=steps)
+    calls = [0]
+    window = Grid.window
+
+    def counted(self, *args):
+        calls[0] += 1
+        return window(self, *args)
+
+    monkeypatch.setattr(Grid, "window", counted)
+    traj = simulate(initial, K_G, M2, T=steps * dt, dt=dt, integrator="euler", record_every=1)
+    assert calls[0] == steps + 1
+    assert len(traj.snapshots) == steps + 1
+    np.testing.assert_array_equal(traj.final().positions, last.final().positions)
+    assert traj.diagnostics[-1]["energy"] == last.diagnostics[-1]["energy"]
+
+
 def test_simulate_domain_escape_mid_run():
     from blobflow.errors import DomainEscapeError
 

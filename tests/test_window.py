@@ -103,7 +103,7 @@ def cases(draw, grid_kinds=("auto", "slack", "pinned")):
 def test_windowed_deposit_matches_dense(case):
     kernel, _, pos, grid, _ = case
     dense = dense_density(pos, kernel, grid)
-    assert np.max(np.abs(mollified_density(pos, kernel, grid) - dense)) <= TOL * np.max(dense)
+    assert np.max(np.abs(mollified_density(pos, kernel, grid).density - dense)) <= TOL * np.max(dense)
 
 
 @settings(max_examples=100)
@@ -111,7 +111,7 @@ def test_windowed_deposit_matches_dense(case):
 def test_windowed_velocity_matches_dense(case):
     kernel, model, pos, grid, _ = case
     vel, scale = dense_velocity(pos, kernel, model, grid)
-    err = np.sqrt(np.sum((velocity_on_grid(pos, kernel, model, grid) - vel) ** 2, axis=1))
+    err = np.sqrt(np.sum((velocity_on_grid(mollified_density(pos, kernel, grid), model) - vel) ** 2, axis=1))
     assert np.all(err <= TOL * scale)
     assert model.neg_prime_calls == 0
 
@@ -153,7 +153,7 @@ def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
     pos = np.linspace(-1.0, 1.0, 41)[:, None]
     grid = QuadratureSpec().grid_for(pos, kernel)
     full = dense_density(pos, kernel, grid, reach=np.inf)
-    assert np.max(np.abs(mollified_density(pos, kernel, grid) - full)) <= 1e-13 * np.max(full)
+    assert np.max(np.abs(mollified_density(pos, kernel, grid).density - full)) <= 1e-13 * np.max(full)
 
 
 def test_entropy_reads_f_prime_only_where_the_deposit_is_nonzero():
@@ -161,8 +161,8 @@ def test_entropy_reads_f_prime_only_where_the_deposit_is_nonzero():
     kernel, model = MollifierSpec("gaussian", 1, 0.1), EnergyModel("entropy")
     x = np.linspace(-0.5, 0.5, 17)
     grid = _step_grid(x, kernel, QuadratureSpec(), slack=3 * kernel.eps)
-    assert np.any(mollified_density(x[:, None], kernel, grid) == 0.0)
-    assert np.all(np.isfinite(velocity_on_grid(x[:, None], kernel, model, grid)))
+    assert np.any(mollified_density(x[:, None], kernel, grid).density == 0.0)
+    assert np.all(np.isfinite(velocity_on_grid(mollified_density(x[:, None], kernel, grid), model)))
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bump"])
@@ -185,7 +185,7 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
         return wrapped
 
     for mod in (particles, energy):
-        monkeypatch.setattr(mod, "value_and_grad_factor", recording)
+        monkeypatch.setattr(mod, "value_and_grad_factor", recording, raising=False)
         monkeypatch.setattr(mod, "value_on_pairs", displacements(value_on_pairs), raising=False)
         monkeypatch.setattr(mod, "grad_on_pairs", displacements(grad_on_pairs), raising=False)
     seen = []
@@ -193,7 +193,7 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
         quad = QuadratureSpec(domain=[[-half, half]] * d)
         grid = quad.grid_for(pos, kernel)
         shapes.clear()
-        velocity_on_grid(pos, kernel, model, grid)
+        velocity_on_grid(mollified_density(pos, kernel, grid), model)
         mollified_density(pos, kernel, grid)
         seen.append((len(shapes), sorted(set(shapes))))
     w = 2 * int(np.ceil(kernel.padding_radius() / QuadratureSpec().spacing(kernel))) + 2
@@ -210,6 +210,6 @@ def test_window_paths_raise_no_floating_point_error(case, family):
     phi = TestFunction(family, np.full(kernel.d, 0.2), 0.5)
     z_grid = error_term_grid(pos, kernel, phi, quad) if quad.domain is None else grid
     with np.errstate(all="raise"):
-        velocity_on_grid(pos, kernel, model, grid)
+        velocity_on_grid(mollified_density(pos, kernel, grid), model)
         mollified_density(pos, kernel, grid)
         error_term_z(ParticleEnsemble(pos), kernel, phi, z_grid)
