@@ -202,7 +202,7 @@ def jko_step(
     record = StepRecord(
         n=state.step_index,
         energy_prev=result["start"],
-        energy=field.integrate(model.f_eval(field.values)),
+        energy=energy_on_grid(dep, model),
         dw2=float(np.mean((y - x) ** 2)),
         entropy=boltzmann_entropy(field),
         fi_term=tau * sobolev_seminorm_m2(field, model.m),

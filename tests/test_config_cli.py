@@ -198,6 +198,8 @@ def test_domain_escape_keeps_the_snapshots_before_it(tmp_path):
     assert len(traj) == 1 + 2 * 8
     assert read_trajectory_csv(tmp_path / "f" / "trajectory.csv").times().tolist() == [0.0, 0.005]
     assert len((tmp_path / "f" / "diagnostics.csv").read_text().splitlines()) == 1 + 2
+    on_disk = json.loads((tmp_path / "f" / "manifest.json").read_text())
+    assert on_disk["error"] == manifest["error"] and on_disk["traceback"] == manifest["traceback"]
 
 
 def test_domain_escape_at_a_recorded_snapshot_keeps_the_snapshots_before_it(tmp_path):

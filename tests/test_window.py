@@ -184,8 +184,8 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
             return fn(spec, diff)
         return wrapped
 
+    monkeypatch.setattr(energy, "value_and_grad_factor", recording)
     for mod in (particles, energy):
-        monkeypatch.setattr(mod, "value_and_grad_factor", recording, raising=False)
         monkeypatch.setattr(mod, "value_on_pairs", displacements(value_on_pairs), raising=False)
         monkeypatch.setattr(mod, "grad_on_pairs", displacements(grad_on_pairs), raising=False)
     seen = []
