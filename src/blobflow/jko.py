@@ -114,12 +114,6 @@ class JkoChain:
     def horizon(self) -> float:
         return self.tau * (len(self.states) - 1)
 
-    def state_at(self, t: float) -> JkoState:
-        """Piecewise-constant interpolation: rho(t) = rho^n on ((n-1)tau, n tau]."""
-        if t <= 0:
-            return self.states[0]
-        return self.states[min(step_count(t, self.tau), len(self.states) - 1)]
-
     def energies(self) -> np.ndarray:
         return np.array([self.records[0].energy_prev] + [r.energy for r in self.records])
 

@@ -165,8 +165,7 @@ def step_plan(
 
     w2(a, b) is the W2 step between two recorded (n, d) snapshots: sorted
     order in 1d, the exact assignment in 2d up to ASSIGNMENT_CAP particles,
-    NaN beyond.  Picking the assignment loads its solver, so validation,
-    which calls this, pays that import during set-up and no step does.
+    NaN beyond.
     """
     if dt is None:
         dt = stable_dt(kernel, model)
@@ -176,8 +175,6 @@ def step_plan(
     if kernel.d == 1:
         w2 = lambda a, b: transport.w2_1d_positions(a[:, 0], b[:, 0])
     elif n <= transport.ASSIGNMENT_CAP:
-        import scipy.optimize  # noqa: F401  (the solver w2_assignment_positions imports)
-
         w2 = transport.w2_assignment_positions
     else:
         w2 = lambda a, b: float("nan")

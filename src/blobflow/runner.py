@@ -29,7 +29,7 @@ from .grids import GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, step_plan
 from .reference import BarenblattProfile
-from .transport import w2_1d_positions, w2_1d_refined
+from .transport import w2_1d_positions, w2_1d_refined, w2_assignment
 
 ENERGY_SLACK = 1e-8
 COM_TOL = 1e-8
@@ -234,8 +234,6 @@ def diagnose(run_dir, phi: dict | None = None) -> dict:
 
 def compare_trajectories(path_a, path_b, out_path) -> list:
     """Distance-vs-time table between two stored trajectories."""
-    from .transport import w2_assignment_positions
-
     ta = read_trajectory_csv(path_a)
     tb = read_trajectory_csv(path_b)
     times_b = {round(t, 12): ens for t, ens in tb.snapshots}
@@ -249,7 +247,7 @@ def compare_trajectories(path_a, path_b, out_path) -> list:
         elif ens.d == 1:
             w2 = w2_1d_refined(ens, other).value
         else:
-            w2 = w2_assignment_positions(ens.positions, other.positions)
+            w2 = w2_assignment(ens, other).value
         rows.append([float(t), float(w2)])
     write_csv(out_path, "t,w2", list(zip(*rows)))
     return rows

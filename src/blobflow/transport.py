@@ -3,7 +3,14 @@
 In one dimension the optimal coupling of two equal-weight N-point measures
 matches sorted order against sorted order, so W2 and W1 reduce to sorting.
 In general dimension (small N) the squared-cost linear assignment problem
-is solved exactly; 1d sorting is used as a cross-check there.
+is solved exactly by the shortest-augmenting-path method of D. F. Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE Trans.
+Aerospace and Electronic Systems 52(4), 2016 (the method scipy's
+``linear_sum_assignment`` implements), written here in numpy so that no
+run imports ``scipy.optimize``.  The solve starts from the row-minimum
+dual, which already matches every row whose cheapest column no other row
+wants; consecutive snapshots of a run are mostly that case.  1d sorting is
+used as a cross-check there.
 """
 from __future__ import annotations
 
@@ -60,20 +67,76 @@ def w1_1d(a, b) -> DistanceReport:
     return DistanceReport(val, "sorted_1d", pa.shape[0])
 
 
-def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
-    from scipy.optimize import linear_sum_assignment  # ~0.5 s to import; 1d runs never assign
+def linear_assignment(cost: np.ndarray) -> np.ndarray:
+    """Columns cols minimising cost[arange(n), cols].sum() over permutations of a square cost.
 
+    Start from the dual u_i = min_j c_ij, v = 0 and match each row to its
+    argmin column where no other row's argmin is that column: this partial
+    matching has zero reduced cost c_ij - u_i - v_j, and every reduced cost
+    is >= 0.  Each row left over is matched by one Crouse sweep, a Dijkstra
+    search over reduced costs for the nearest unmatched column, vectorised
+    over the columns; the duals are then updated so that both properties
+    still hold and the path is flipped.  Among columns at equal distance an
+    unmatched one ends the search.  O(n^3) at worst, O(n^2) when no sweep
+    runs.  Non-finite costs raise ValueError, as in scipy, since a search
+    on them need not end.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost must be a square matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains NaN or infinite entries")
+    n = cost.shape[0]
+    u, v = cost.min(axis=1), np.zeros(n)
+    col4row, row4col = np.full(n, -1), np.full(n, -1)
+    best = cost.argmin(axis=1)
+    lone = np.bincount(best, minlength=n)[best] == 1
+    col4row[lone] = best[lone]
+    row4col[best[lone]] = np.flatnonzero(lone)
+    for start in np.flatnonzero(col4row < 0):
+        dist, path = np.full(n, np.inf), np.full(n, -1)
+        todo = np.ones(n, dtype=bool)
+        i, low, tree = start, 0.0, []
+        while True:
+            r = low + cost[i] - u[i] - v
+            closer = todo & (r < dist)
+            dist[closer] = r[closer]
+            path[closer] = i
+            reach = np.where(todo, dist, np.inf)
+            low = reach.min()
+            ties = np.flatnonzero(reach == low)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if free.size else ties[0]
+            todo[j] = False
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            tree.append(i)
+        u[start] += low
+        u[tree] += low - dist[col4row[tree]]
+        v[~todo] -= low - dist[~todo]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
+def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _pos(a), _pos(b)
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
+    cols = linear_assignment(cost)
+    return float(np.sqrt(cost[np.arange(cost.shape[0]), cols].mean()))
 
 
 def w2_assignment(a, b) -> DistanceReport:
     """Exact 2-Wasserstein distance via the linear assignment problem.
 
-    Shortest-augmenting-path solve, O(N^3); capped at N = 512 to keep
-    runtimes interactive.
+    linear_assignment: Crouse's (2016) shortest-augmenting-path solve
+    started from the row-minimum dual, O(N^3) at worst; capped at N = 512
+    to keep runtimes interactive.
     """
     pa, pb = _pos(a), _pos(b)
     _check_pair(pa, pb, need_1d=False)

@@ -9,11 +9,11 @@ import pytest
 from blobflow.cli import main
 from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
-from blobflow.errors import ConfigError
+from blobflow.errors import ConfigError, SizeLimitError
 from blobflow.grids import Grid, GridField, QuadratureSpec, write_field_csv
 from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble, Trajectory
-from blobflow.runner import converge, diagnose, execute, read_trajectory_csv, write_trajectory_csv
+from blobflow.runner import compare_trajectories, converge, diagnose, execute, read_trajectory_csv, write_trajectory_csv
 
 
 def particle_config(out, **overrides):
@@ -278,6 +278,20 @@ def test_cli_compare(tmp_path):
     assert lines[0] == "t,w2"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == 0.0  # identical initial data
+
+
+def test_compare_2d_needs_equal_counts_within_the_assignment_cap(tmp_path):
+    def stored(name, pos):
+        write_trajectory_csv(Trajectory([(0.0, ParticleEnsemble(np.asarray(pos, dtype=float)))], []), tmp_path / name)
+        return tmp_path / name
+
+    two = stored("two.csv", [[0, 0], [0, 0]])
+    four = stored("four.csv", [[0, 0], [0, 0], [5, 5], [5, 5]])
+    with pytest.raises(ValueError, match="particle counts differ"):
+        compare_trajectories(two, four, tmp_path / "cmp.csv")
+    big = stored("big.csv", np.zeros((513, 2)))
+    with pytest.raises(SizeLimitError):
+        compare_trajectories(big, big, tmp_path / "cmp.csv")
 
 
 def test_cli_reference_roundtrip(tmp_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg", "scipy.signal", "scipy.sparse")
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg", "scipy.signal", "scipy.sparse", "scipy.spatial")
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import DEFAULT_SEED, WORKLOADS, level_for  # noqa: E402
@@ -37,8 +37,8 @@ def test_package_import_loads_no_heavy_scipy():
     assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
-@pytest.mark.parametrize("d, loads", [(1, False), (2, True)])
-def test_validating_a_particle_config_loads_the_assignment_solver_in_2d(d, loads):
+@pytest.mark.parametrize("d", [1, 2])
+def test_validating_a_particle_config_loads_no_heavy_scipy(d):
     density = {"kind": "barenblatt", "m": 2.0}
     cfg = {
         "kernel": {"family": "gaussian", "eps": 0.3, "d": d},
@@ -52,9 +52,24 @@ def test_validating_a_particle_config_loads_the_assignment_solver_in_2d(d, loads
         "import json, sys\n"
         "from blobflow.config import ExperimentConfig\n"
         f"ExperimentConfig.from_dict(json.loads({json.dumps(json.dumps(cfg))}))\n"
-        "print(json.dumps('scipy.optimize' in sys.modules))"
+        "print(json.dumps(sorted(sys.modules)))"
     )
-    assert loaded is loads
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
+def test_a_2d_run_and_compare_load_no_heavy_scipy(tmp_path):
+    raw = WORKLOADS["blob2d_gauss"].config(level_for(DEFAULT_SEED), str(tmp_path / "run"))
+    traj = str(tmp_path / "run" / "trajectory.csv")
+    loaded = _fresh(
+        "import json, sys\n"
+        "from blobflow import runner\n"
+        "from blobflow.config import ExperimentConfig\n"
+        f"cfg = ExperimentConfig.from_dict(json.loads({json.dumps(json.dumps(raw))}))\n"
+        "assert runner.execute(cfg, cfg.output_dir).ok\n"
+        f"runner.compare_trajectories({traj!r}, {traj!r}, {str(tmp_path / 'cmp.csv')!r})\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -1,15 +1,31 @@
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
+from blobflow import runner
+from blobflow.config import ExperimentConfig
 from blobflow.errors import SizeLimitError
 from blobflow.particles import ParticleEnsemble
-from blobflow.transport import m2, w1_1d, w2_1d, w2_1d_refined, w2_assignment
+from blobflow.transport import (
+    linear_assignment,
+    m2,
+    w1_1d,
+    w2_1d,
+    w2_1d_refined,
+    w2_assignment,
+    w2_assignment_positions,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import DEFAULT_SEED, WORKLOADS, level_for  # noqa: E402
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -98,6 +114,63 @@ def test_mismatch_errors():
         w2_assignment(np.zeros((2, 1)), np.zeros((2, 2)))
     with pytest.raises(SizeLimitError):
         w2_assignment(np.zeros((513, 1)), np.zeros((513, 1)))
+
+
+def _is_permutation(cols):
+    return np.array_equal(np.sort(cols), np.arange(cols.size))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_assignment_matches_scipy_on_continuous_costs(n, seed):
+    # a continuous random cost has one optimal permutation, so the two solvers must agree on it
+    cost = np.random.default_rng(seed).random((n, n))
+    assert np.array_equal(linear_assignment(cost), linear_sum_assignment(cost)[1])
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_assignment_cost_matches_scipy_on_tied_costs(n, seed, levels):
+    # small-integer costs tie often, so only the optimal cost is unique
+    cost = np.random.default_rng(seed).integers(0, levels, (n, n)).astype(float)
+    cols, rows = linear_assignment(cost), np.arange(n)
+    assert _is_permutation(cols)
+    want = cost[rows, linear_sum_assignment(cost)[1]].sum()
+    assert abs(cost[rows, cols].sum() - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_assignment_edge_cases():
+    assert linear_assignment(np.array([[-3.5]])).tolist() == [0]
+    flat = linear_assignment(np.full((7, 7), 2.5))
+    assert _is_permutation(flat)
+    # every row's cheapest column is column 0, so no row keeps its argmin and each is matched by a sweep
+    cost = np.random.default_rng(5).random((40, 40))
+    cost[:, 0] = -1.0
+    assert np.array_equal(linear_assignment(cost), linear_sum_assignment(cost)[1])
+
+
+def test_assignment_rejects_non_finite_costs():
+    a = np.zeros((3, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.ones((3, 2))
+        b[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            w2_assignment_positions(a, b)
+    with pytest.raises(ValueError):
+        linear_assignment(np.zeros((2, 3)))
+
+
+def test_2d_snapshot_steps_equal_the_scipy_assignment(tmp_path):
+    raw = WORKLOADS["blob2d_gauss"].config(level_for(DEFAULT_SEED), str(tmp_path / "run"))
+    cfg = ExperimentConfig.from_dict(raw)
+    traj = runner.execute(cfg, cfg.output_dir).trajectory
+    got = [row["dw_step"] for row in traj.diagnostics[1:]]
+    want = []
+    for (_, a), (_, b) in zip(traj.snapshots, traj.snapshots[1:]):
+        cost = np.sum((a.positions[:, None, :] - b.positions[None, :, :]) ** 2, axis=-1)
+        rows, cols = linear_sum_assignment(cost)
+        want.append(float(np.sqrt(cost[rows, cols].mean())))
+    assert len(got) > 0 and got == want
 
 
 def test_moments():
