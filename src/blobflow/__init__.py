@@ -8,13 +8,12 @@ from .jko import JkoChain, JkoState, boltzmann_entropy, run_jko
 from .kernels import KernelMoments, MollifierSpec, kernel_moments
 from .particles import ParticleEnsemble, Trajectory, initial_sampler, simulate, velocity
 from .reference import BarenblattProfile, fd_pme_oracle, heat_solution, lambda_convexity
-from .transport import DistanceReport, m2, w1_1d, w2_1d, w2_assignment
+from .transport import m2, w1_1d, w2
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarenblattProfile",
-    "DistanceReport",
     "EnergyModel",
     "Grid",
     "GridField",
@@ -37,6 +36,5 @@ __all__ = [
     "simulate",
     "velocity",
     "w1_1d",
-    "w2_1d",
-    "w2_assignment",
+    "w2",
 ]

@@ -98,8 +98,7 @@ class ExperimentConfig:
                 for owner, keys in SOLVER_KEYS.items() if owner != self.solver
                 for key in keys if getattr(self, key) != self.__dataclass_fields__[key].default
             ]
-        n_ok = isinstance(self.n_particles, int) and self.n_particles >= 1
-        if not n_ok:
+        if not (isinstance(self.n_particles, int) and self.n_particles >= 1):
             errors.append(f"n_particles: need a positive integer, got {self.n_particles!r}")
         if not self.T > 0:
             errors.append(f"T: horizon must be positive, got {self.T}")
@@ -108,8 +107,8 @@ class ExperimentConfig:
                 errors.append(f"integrator: choose from {INTEGRATORS}, got {self.integrator!r}")
             if not (isinstance(self.record_every, int) and self.record_every >= 1):
                 errors.append(f"record_every: need a positive integer, got {self.record_every!r}")
-            elif self.solver == "particle" and self.T > 0 and n_ok and kernel is not None and model is not None:
-                build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model, self.n_particles))
+            elif self.solver == "particle" and self.T > 0 and kernel is not None and model is not None:
+                build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model))
         else:
             if kernel is not None and kernel.d != 1:
                 errors.append("solver: the minimizing-movement solver is one-dimensional")

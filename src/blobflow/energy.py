@@ -110,8 +110,8 @@ class Deposit:
 def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid) -> Deposit:
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    win = grid.window(pos, kernel.padding_radius())
-    v, g = value_and_grad_factor(kernel, win.r2)
+    win, r2 = grid.window(pos, kernel.padding_radius())
+    v, g = value_and_grad_factor(kernel, r2)
     return Deposit(grid, win, v, g, win.deposit(v) / len(pos))
 
 

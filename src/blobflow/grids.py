@@ -65,8 +65,13 @@ class Grid:
             per_axis.append(w)
         return reduce(np.multiply.outer, per_axis).ravel()
 
-    def window(self, points: np.ndarray, reach: float) -> "Window":
-        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it."""
+    def window(self, points: np.ndarray, reach: float) -> tuple:
+        """(Window, r2): each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
+
+        r2 (N, W^d) is each pair's squared distance, inf for a node off the grid
+        or beyond reach, where every kernel profile is exactly 0.0; the window
+        does not keep it, so it lives only as long as its caller needs it.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
         c = int(np.ceil(reach / self.spacing))
@@ -82,7 +87,7 @@ class Grid:
         lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
         r2 = reduce(np.add, box(sq)).reshape(n, -1)
         r2[r2 > reach * reach] = np.inf
-        return Window(off, lin, r2, prod(self.shape))
+        return Window(off, lin, prod(self.shape)), r2
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -98,15 +103,13 @@ class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
-    point; every other pair has ``r2 = inf``, where each kernel profile is
-    exactly 0.0, so it deposits and reads nothing.  A box may overhang the
-    grid's edge; its nodes there are clipped to an edge index.  Only ``r2``
-    and ``lin`` are per pair: the displacements stay per axis in ``off``.
+    point (``Grid.window``'s r2 is finite there).  A box may overhang the
+    grid's edge; its nodes there are clipped to an edge index.  Only ``lin``
+    is per pair: the displacements stay per axis in ``off``.
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
     lin: np.ndarray  # (N, W^d) flat node indices into the grid's row-major nodes
-    r2: np.ndarray  # (N, W^d) squared node-to-point distance; inf for pairs that do not count
     size: int  # G, the grid's node count
 
     def deposit(self, values: np.ndarray) -> np.ndarray:

@@ -31,9 +31,11 @@ from .fields import mollify, sobolev_seminorm_m2
 from .grids import GridField, QuadratureSpec
 from .kernels import MollifierSpec
 from .particles import ParticleEnsemble, step_count, velocity_on_grid
+from .transport import m2
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+MAX_INNER_ITERATIONS = 600
 
 
 def alpha_for_dim(d: int) -> float:
@@ -70,7 +72,6 @@ class JkoState:
     positions: np.ndarray  # sorted (N,)
     tau: float
     step_index: int
-    objective: float  # J at acceptance (quadratic term + energy)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).ravel()
@@ -146,7 +147,7 @@ class JkoChain:
         return best
 
     def max_m2(self) -> float:
-        return max(float(np.mean(s.positions ** 2)) for s in self.states)
+        return max(m2(s.positions) for s in self.states)
 
 
 def _step_grid(positions: np.ndarray, kernel: MollifierSpec, quad: QuadratureSpec, slack: float):
@@ -159,7 +160,6 @@ def jko_step(
     kernel: MollifierSpec,
     model: EnergyModel,
     quad: QuadratureSpec = QuadratureSpec(),
-    max_iter: int = 600,
 ) -> tuple[JkoState, StepRecord]:
     """One proximal step, solved to sup-gradient 1e-8 sqrt(N); returns the state and its diagnostics."""
     validate_tau(prev.tau, model, 1)
@@ -171,7 +171,7 @@ def jko_step(
     result = None
     for attempt in range(3):
         grid = _step_grid(x, kernel, quad, slack=(attempt + 1) * kernel.eps)
-        result = _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter)
+        result = _minimise_on_grid(x, tau, kernel, model, grid, gtol)
         if grid.covers(result["y"][:, None], margin=kernel.padding_radius()):
             break
     else:
@@ -189,9 +189,8 @@ def jko_step(
         j_sorted, dep = _objective(y, x, tau, n, kernel, model, grid)
         if j_sorted > j_val + 1e-12 * (1.0 + abs(j_val)):
             raise ConvergenceError("sorted projection increased the objective", residual=gsup)
-        j_val = j_sorted
 
-    state = JkoState(positions=y, tau=tau, step_index=prev.step_index + 1, objective=j_val)
+    state = JkoState(positions=y, tau=tau, step_index=prev.step_index + 1)
     field = GridField(grid, dep.density.reshape(grid.shape))  # the accepted trial's own deposit
     record = StepRecord(
         n=state.step_index,
@@ -213,7 +212,7 @@ def _objective(y, x, tau, n, kernel, model, grid):
     return float(np.sum((y - x) ** 2)) / (2.0 * tau * n) + energy_on_grid(dep, model), dep
 
 
-def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
+def _minimise_on_grid(x, tau, kernel, model, grid, gtol):
     n = x.size
     y = x.copy()
     # at y = x the quadratic term is exactly 0.0, so this is E_eps[x] on the step's grid
@@ -223,7 +222,7 @@ def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
     alpha_max = 10.0 * tau * n
     iters = 0
     gsup = np.inf
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_INNER_ITERATIONS + 1):
         vel = velocity_on_grid(dep, model)[:, 0]
         grad = ((y - x) / tau - vel) / n
         gsup = float(np.max(np.abs(grad)))
@@ -250,7 +249,7 @@ def _minimise_on_grid(x, tau, kernel, model, grid, gtol, max_iter):
             )
     else:
         raise ConvergenceError(
-            f"JKO inner optimiser hit {max_iter} iterations, sup-gradient {gsup:.3e}",
+            f"JKO inner optimiser hit {MAX_INNER_ITERATIONS} iterations, sup-gradient {gsup:.3e}",
             residual=gsup,
         )
     return {"y": y, "objective": j_cur, "deposit": dep, "start": j_start, "iterations": iters, "grad_sup": gsup}
@@ -272,7 +271,7 @@ def run_jko(
             raise ValueError("give n_steps or T")
         n_steps = step_count(T, tau)
     x0 = np.sort(np.asarray(initial_positions, dtype=float).ravel())
-    state = JkoState(positions=x0, tau=tau, step_index=0, objective=np.nan)
+    state = JkoState(positions=x0, tau=tau, step_index=0)
     chain = JkoChain(states=[state], records=[], kernel=kernel, model=model, tau=tau, quad=quad)
     for _ in range(n_steps):
         state, record = jko_step(state, kernel, model, quad)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import transport
 from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
-from .errors import CoverageError, DomainEscapeError, UnsupportedDensityError
+from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
 from .grids import QuadratureSpec
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
 
@@ -59,10 +59,6 @@ class ParticleEnsemble:
     @property
     def d(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / self.n
 
     def center_of_mass(self) -> np.ndarray:
         return self.positions.mean(axis=0)
@@ -158,27 +154,14 @@ def step_count(T: float, dt: float) -> int:
     return max(1, int(np.ceil(T / dt - 1e-12)))
 
 
-def step_plan(
-    T: float, dt: float | None, record_every: int, kernel: MollifierSpec, model: EnergyModel, n: int
-) -> tuple:
-    """(n_steps, dt, w2) simulate integrates: step_count(T, dt) steps of T / n_steps, dt=None taking stable_dt.
-
-    w2(a, b) is the W2 step between two recorded (n, d) snapshots: sorted
-    order in 1d, the exact assignment in 2d up to ASSIGNMENT_CAP particles,
-    NaN beyond.
-    """
+def step_plan(T: float, dt: float | None, record_every: int, kernel: MollifierSpec, model: EnergyModel) -> tuple:
+    """(n_steps, dt) simulate integrates: step_count(T, dt) steps of T / n_steps, dt=None taking stable_dt."""
     if dt is None:
         dt = stable_dt(kernel, model)
     n_steps = step_count(T, dt)
     if n_steps % record_every != 0:
         raise ValueError(f"record_every={record_every} must divide the {n_steps} steps")
-    if kernel.d == 1:
-        w2 = lambda a, b: transport.w2_1d_positions(a[:, 0], b[:, 0])
-    elif n <= transport.ASSIGNMENT_CAP:
-        w2 = transport.w2_assignment_positions
-    else:
-        w2 = lambda a, b: float("nan")
-    return n_steps, T / n_steps, w2
+    return n_steps, T / n_steps
 
 
 def stable_dt(kernel: MollifierSpec, model: EnergyModel) -> float:
@@ -208,9 +191,16 @@ def simulate(
     next step's first-stage velocity read the same deposit.  With a pinned
     quadrature domain, a particle reaching the boundary ring, at a step or
     at a snapshot, aborts the run (DomainEscapeError, carrying the snapshots
-    recorded before) rather than truncating integrals.
+    recorded before) rather than truncating integrals.  The W2 step between
+    snapshots is ``transport.w2``; above the assignment cap (d > 1) it is NaN.
     """
-    n_steps, dt, w2 = step_plan(T, dt, record_every, kernel, model, initial.n)
+    n_steps, dt = step_plan(T, dt, record_every, kernel, model)
+
+    def w2(a, b):
+        try:
+            return transport.w2(a, b)
+        except SizeLimitError:
+            return float("nan")
 
     def record(ens, last):
         """Append the snapshot and its diagnostics; return the next step's first-stage velocity, unless last."""
@@ -218,9 +208,9 @@ def simulate(
         diagnostics.append({
             "t": ens.time,
             "energy": energy_on_grid(dep, model),
-            "m2": float(np.mean(np.sum(ens.positions ** 2, axis=1))),
+            "m2": transport.m2(ens),
             "com": ens.center_of_mass(),
-            "dw_step": w2(snapshots[-1][1].positions, ens.positions) if snapshots else 0.0,
+            "dw_step": w2(snapshots[-1][1], ens) if snapshots else 0.0,
         })
         snapshots.append((ens.time, ens))
         return None if last else velocity_on_grid(dep, model)

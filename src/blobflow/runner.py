@@ -29,7 +29,7 @@ from .grids import GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, step_plan
 from .reference import BarenblattProfile
-from .transport import w2_1d_positions, w2_1d_refined, w2_assignment
+from .transport import w2
 
 ENERGY_SLACK = 1e-8
 COM_TOL = 1e-8
@@ -156,7 +156,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                     write_trajectory_csv(traj, out / "trajectory.csv")
                     write_diagnostics_csv(traj, out / "diagnostics.csv")
             manifest["invariants"] = particle_invariants(traj, kernel.family)
-            manifest["dt"] = step_plan(cfg.T, cfg.dt, cfg.record_every, kernel, model, cfg.n_particles)[1]
+            manifest["dt"] = step_plan(cfg.T, cfg.dt, cfg.record_every, kernel, model)[1]
         else:
             chain = run_jko(
                 initial.positions[:, 0],
@@ -242,13 +242,7 @@ def compare_trajectories(path_a, path_b, out_path) -> list:
         other = times_b.get(round(t, 12))
         if other is None:
             continue
-        if ens.d == 1 and ens.n == other.n:
-            w2 = w2_1d_positions(ens.positions[:, 0], other.positions[:, 0])
-        elif ens.d == 1:
-            w2 = w2_1d_refined(ens, other).value
-        else:
-            w2 = w2_assignment(ens, other).value
-        rows.append([float(t), float(w2)])
+        rows.append([float(t), w2(ens, other)])
     write_csv(out_path, "t,w2", list(zip(*rows)))
     return rows
 
@@ -308,9 +302,7 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
         if cfg.solver == "particle":
             traj = result.trajectory
             final, t_ref, energy_final = traj.final(), cfg.T, traj.diagnostics[-1]["energy"]
-            w2_init = w2_1d_positions(
-                traj.snapshots[0][1].positions[:, 0], dens.quantile_ensemble(n, t=0.0).positions[:, 0]
-            )
+            w2_init = w2(traj.snapshots[0][1], dens.quantile_ensemble(n, t=0.0))
             zgrid = error_term_grid(final.positions, kernel, phi, quad)
             z_l1 = error_term_z(final, kernel, phi, zgrid).l1_norm
         else:
@@ -318,12 +310,12 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
             final, t_ref, energy_final = chain.states[-1].ensemble(), chain.horizon, chain.records[-1].energy
             fi = flow_interchange_diagnostic(chain).sum_d
         ref = dens.quantile_ensemble(n, t=t_ref)
-        w2 = w2_1d_positions(final.positions[:, 0], ref.positions[:, 0])
+        w2_final = w2(final, ref)
         vfield = mollify_auto(final, kernel, quad)
         ref_dens = dens.density(t_ref, vfield.grid.axes()[0])
         l1 = vfield.integrate(np.abs(vfield.values - ref_dens))
         for metric, value in [
-            ("w2_final_vs_reference", w2),
+            ("w2_final_vs_reference", w2_final),
             ("l1_final_vs_reference", l1),
             ("z_eps_l1", z_l1),
             ("energy_final", energy_final),

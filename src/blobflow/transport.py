@@ -1,20 +1,21 @@
 """Wasserstein distances and moments for equal-weight particle ensembles.
 
-In one dimension the optimal coupling of two equal-weight N-point measures
-matches sorted order against sorted order, so W2 and W1 reduce to sorting.
-In general dimension (small N) the squared-cost linear assignment problem
-is solved exactly by the shortest-augmenting-path method of D. F. Crouse,
-"On implementing 2D rectangular assignment algorithms", IEEE Trans.
-Aerospace and Electronic Systems 52(4), 2016 (the method scipy's
-``linear_sum_assignment`` implements), written here in numpy so that no
-run imports ``scipy.optimize``.  The solve starts from the row-minimum
-dual, which already matches every row whose cheapest column no other row
-wants; consecutive snapshots of a run are mostly that case.  1d sorting is
-used as a cross-check there.
+``w2`` is the one exact W2 between two ensembles; it picks the method from
+its inputs.  In one dimension the optimal coupling matches sorted order
+against sorted order: with equal counts W2 is the RMS gap of the sorted
+atoms (``w2_1d_positions``), with unequal counts the exact integral of the
+squared gap of the two quantile functions over their merged breakpoints.
+In higher dimension (small N, equal counts) the squared-cost linear
+assignment problem is solved exactly by the shortest-augmenting-path
+method of D. F. Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE Trans. Aerospace and Electronic Systems 52(4), 2016 (the
+method scipy's ``linear_sum_assignment`` implements), written here in
+numpy so that no run imports ``scipy.optimize``.  The solve starts from
+the row-minimum dual, which already matches every row whose cheapest
+column no other row wants; consecutive snapshots of a run are mostly that
+case.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +24,9 @@ from .errors import SizeLimitError
 ASSIGNMENT_CAP = 512
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    value: float
-    method: str
-    n_points: int
-
-
 def _pos(ens) -> np.ndarray:
     pos = np.asarray(getattr(ens, "positions", ens), dtype=float)
     return pos[:, None] if pos.ndim == 1 else pos
-
-
-def _check_pair(a: np.ndarray, b: np.ndarray, need_1d: bool):
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if need_1d and a.shape[1] != 1:
-        raise ValueError("sorted-order transport requires d = 1")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"particle counts differ: {a.shape[0]} vs {b.shape[0]}")
 
 
 def w2_1d_positions(a: np.ndarray, b: np.ndarray) -> float:
@@ -52,19 +37,14 @@ def w2_1d_positions(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def w2_1d(a, b) -> DistanceReport:
-    """Exact 2-Wasserstein distance between equal-weight 1d ensembles."""
+def w1_1d(a, b) -> float:
+    """Exact 1-Wasserstein distance between equal-weight 1d ensembles of equal size."""
     pa, pb = _pos(a), _pos(b)
-    _check_pair(pa, pb, need_1d=True)
-    return DistanceReport(w2_1d_positions(pa[:, 0], pb[:, 0]), "sorted_1d", pa.shape[0])
-
-
-def w1_1d(a, b) -> DistanceReport:
-    """Exact 1-Wasserstein distance between equal-weight 1d ensembles."""
-    pa, pb = _pos(a), _pos(b)
-    _check_pair(pa, pb, need_1d=True)
-    val = float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
-    return DistanceReport(val, "sorted_1d", pa.shape[0])
+    if pa.shape[1] != 1 or pb.shape[1] != 1:
+        raise ValueError("sorted-order transport requires d = 1")
+    if pa.shape[0] != pb.shape[0]:
+        raise ValueError(f"particle counts differ: {pa.shape[0]} vs {pb.shape[0]}")
+    return float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
 
 
 def linear_assignment(cost: np.ndarray) -> np.ndarray:
@@ -131,38 +111,33 @@ def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(cost[np.arange(cost.shape[0]), cols].mean()))
 
 
-def w2_assignment(a, b) -> DistanceReport:
-    """Exact 2-Wasserstein distance via the linear assignment problem.
+def w2(a, b) -> float:
+    """Exact 2-Wasserstein distance between two equal-weight ensembles or (n, d) position arrays.
 
-    linear_assignment: Crouse's (2016) shortest-augmenting-path solve
-    started from the row-minimum dual, O(N^3) at worst; capped at N = 512
-    to keep runtimes interactive.
+    1d, equal counts: sorted order (``w2_1d_positions``).  1d, n and m
+    atoms: the quantile functions are piecewise constant with breakpoints
+    {i/n} and {j/m}, and W2^2 is the exact integral of their squared gap
+    over the merged breakpoints, kept as integers over the common
+    denominator n*m, in O((n + m) log(n + m)).  Higher d: the assignment
+    (``w2_assignment_positions``), which needs equal counts and is capped
+    at ASSIGNMENT_CAP points (SizeLimitError), since it is O(N^3) at worst.
     """
     pa, pb = _pos(a), _pos(b)
-    _check_pair(pa, pb, need_1d=False)
-    if pa.shape[0] > ASSIGNMENT_CAP:
-        raise SizeLimitError(f"assignment solver capped at N={ASSIGNMENT_CAP}, got {pa.shape[0]}")
-    return DistanceReport(w2_assignment_positions(pa, pb), "assignment_exact", pa.shape[0])
-
-
-def w2_1d_refined(a, b) -> DistanceReport:
-    """W2 between 1d equal-weight ensembles of different sizes.
-
-    The quantile functions Q_a, Q_b of n and m sorted atoms are piecewise
-    constant with breakpoints {i/n} and {j/m}; W2^2 is the exact integral of
-    (Q_a - Q_b)^2 over the merged breakpoints, in O((n + m) log(n + m)).
-    Breakpoints are kept as integers over the common denominator n*m.
-    n_points counts the atoms of the optimal coupling (merged intervals).
-    """
-    pa, pb = _pos(a), _pos(b)
-    if pa.shape[1] != 1 or pb.shape[1] != 1:
-        raise ValueError("refined sorted-order transport requires d = 1")
+    if pa.shape[1] != pb.shape[1]:
+        raise ValueError(f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
     n, m = pa.shape[0], pb.shape[0]
-    ticks = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
-    lo = ticks[:-1]
-    gap = np.sort(pa[:, 0])[lo // m] - np.sort(pb[:, 0])[lo // n]
-    w2sq = float(np.dot(np.diff(ticks) / (n * m), gap * gap))
-    return DistanceReport(float(np.sqrt(w2sq)), "sorted_1d_refined", lo.size)
+    if pa.shape[1] == 1 and n == m:
+        return w2_1d_positions(pa[:, 0], pb[:, 0])
+    if pa.shape[1] == 1:
+        ticks = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
+        lo = ticks[:-1]
+        gap = np.sort(pa[:, 0])[lo // m] - np.sort(pb[:, 0])[lo // n]
+        return float(np.sqrt(np.dot(np.diff(ticks) / (n * m), gap * gap)))
+    if n != m:
+        raise ValueError(f"particle counts differ: {n} vs {m}")
+    if n > ASSIGNMENT_CAP:
+        raise SizeLimitError(f"assignment solver capped at N={ASSIGNMENT_CAP}, got {n}")
+    return w2_assignment_positions(pa, pb)
 
 
 def m2(ens) -> float:

@@ -44,7 +44,7 @@ def test_tau_validation():
 
 
 def test_single_blob_does_not_move():
-    state = JkoState(positions=np.array([0.3]), tau=TAU, step_index=0, objective=np.nan)
+    state = JkoState(positions=np.array([0.3]), tau=TAU, step_index=0)
     new, record = jko_step(state, K, M2)
     assert abs(new.positions[0] - 0.3) <= 1e-8 * TAU + 1e-12
     assert record.dw2 <= 1e-16
@@ -60,7 +60,7 @@ def test_chain_strictly_decreases_energy():
 
 def test_symmetric_data_gives_symmetric_minimiser():
     x0 = np.linspace(-0.5, 0.5, 32)
-    state = JkoState(positions=x0, tau=TAU, step_index=0, objective=np.nan)
+    state = JkoState(positions=x0, tau=TAU, step_index=0)
     new, _ = jko_step(state, K, M2)
     np.testing.assert_allclose(new.positions, -new.positions[::-1], atol=1e-8)
 
@@ -147,12 +147,14 @@ def test_flow_interchange_stationary_blob_warns():
     assert rep.solver_quality_warning  # drop ~ 0 while the terms are positive
 
 
-def test_inner_solver_reports_nonconvergence():
+def test_inner_solver_reports_nonconvergence(monkeypatch):
+    import blobflow.jko as jko
     from blobflow.errors import ConvergenceError
 
-    state = JkoState(positions=(np.arange(16) + 0.5) / 16, tau=TAU, step_index=0, objective=np.nan)
+    state = JkoState(positions=(np.arange(16) + 0.5) / 16, tau=TAU, step_index=0)
+    monkeypatch.setattr(jko, "MAX_INNER_ITERATIONS", 1)
     with pytest.raises(ConvergenceError) as err:
-        jko_step(state, K, M2, max_iter=1)
+        jko_step(state, K, M2)
     assert err.value.residual is not None and err.value.residual > 0
 
 
@@ -182,7 +184,7 @@ def _holder_oracle(chain):
 def test_holder_constant_matches_pairwise_scan(n_states):
     rng = np.random.default_rng(n_states)
     walk = np.cumsum(rng.normal(scale=0.01, size=(n_states, 128)), axis=0)
-    states = [JkoState(np.sort(w), TAU, k, np.nan) for k, w in enumerate(walk)]
+    states = [JkoState(np.sort(w), TAU, k) for k, w in enumerate(walk)]
     chain = JkoChain(states=states, records=[], kernel=K, model=M2, tau=TAU)
     assert chain.holder_constant() == _holder_oracle(chain)
 
@@ -222,14 +224,14 @@ def test_one_deposit_per_objective_and_velocity_call(monkeypatch):
     monkeypatch.setattr(jko, "_objective", _counting(calls, "objective", jko._objective))
     monkeypatch.setattr(jko, "velocity_on_grid", _counting(calls, "velocity", jko.velocity_on_grid))
     x0 = BarenblattProfile(m=2.0, d=1).quantile_ensemble(32).positions[:, 0]
-    jko_step(JkoState(positions=x0, tau=TAU, step_index=0, objective=np.nan), K, M2)
+    jko_step(JkoState(positions=x0, tau=TAU, step_index=0), K, M2)
     assert calls["objective"] > 1 and calls["velocity"] > 1
     assert calls["window"] == calls["objective"]
 
 
 def test_energy_prev_is_the_previous_energy_on_the_step_grid():
     x0 = BarenblattProfile(m=2.0, d=1).quantile_ensemble(32).positions[:, 0]
-    state = JkoState(positions=x0, tau=TAU, step_index=0, objective=np.nan)
+    state = JkoState(positions=x0, tau=TAU, step_index=0)
     for _ in range(3):
         nxt, record = jko_step(state, K, M2)
         grid = _step_grid(state.positions, K, QuadratureSpec(), slack=K.eps)

@@ -179,13 +179,13 @@ def test_quantile_sampler_uniform():
 def test_quantile_sampler_gaussian_rate():
     # exact quantile-vs-quantile distances against a 1e5-atom reference:
     # gaussian tails put the decay between 1/N and 1/sqrt(N)
-    from blobflow.transport import w2_1d_refined
+    from blobflow.transport import w2
 
     ref = initial_sampler("quantile", GaussianDensity(1.0), 100_000)
     errs = []
     for n in (50, 100, 200):
         ens = initial_sampler("quantile", GaussianDensity(1.0), n)
-        errs.append(w2_1d_refined(ens, ref).value)
+        errs.append(w2(ens, ref))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] == pytest.approx(0.0493, abs=0.002)  # frozen oracle value, N=100
     rates = [errs[i] / errs[i + 1] for i in range(2)]
@@ -201,11 +201,11 @@ def test_quantile_sampler_barenblatt_support():
 
 def test_quantile_sampler_barenblatt_rate_halves():
     # compactly supported profile: quantile error ~halves per doubling of N
-    from blobflow.transport import w2_1d_refined
+    from blobflow.transport import w2
 
     prof = BarenblattProfile(m=2.0, d=1)
     ref = initial_sampler("quantile", prof, 100_000)
-    errs = [w2_1d_refined(initial_sampler("quantile", prof, n), ref).value for n in (50, 100, 200)]
+    errs = [w2(initial_sampler("quantile", prof, n), ref) for n in (50, 100, 200)]
     assert errs[0] > errs[1] > errs[2]
     assert all(1.7 <= errs[i] / errs[i + 1] <= 2.1 for i in range(2))
 
@@ -227,6 +227,19 @@ def test_assignment_cap_is_the_transport_cap(monkeypatch):
     traj = simulate(initial, MollifierSpec("gaussian", 2, 0.3), M2, T=2e-3, dt=1e-3)
     dw = [d["dw_step"] for d in traj.diagnostics]
     assert dw[0] == 0.0 and len(dw) == 3 and all(np.isnan(x) for x in dw[1:])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_snapshot_step_is_transport_w2(d):
+    # the recorded W2 step is w2 of consecutive snapshots, bit for bit: sorted order in 1d, the assignment in 2d
+    if d == 1:
+        initial = BarenblattProfile(m=2.0, d=1).quantile_ensemble(24)
+    else:
+        initial = initial_sampler("quantile", ProductDensity(axes=(UniformDensity(-0.5, 0.5),) * 2), 16)
+    traj = simulate(initial, MollifierSpec("gaussian", d, 0.3), M2, T=4e-3, dt=1e-3, record_every=2)
+    steps = [row["dw_step"] for row in traj.diagnostics]
+    want = [transport.w2(a, b) for (_, a), (_, b) in zip(traj.snapshots, traj.snapshots[1:])]
+    assert steps[0] == 0.0 and steps[1:] == want and all(w > 0.0 for w in want)
 
 
 def test_recorded_snapshot_deposit_is_the_next_steps_first_stage(monkeypatch):
@@ -289,5 +302,3 @@ def test_ensemble_validation():
         ParticleEnsemble(np.array([np.nan]))
     with pytest.raises(ValueError):
         ParticleEnsemble(np.zeros((0, 1)))
-    ens = ParticleEnsemble(np.array([1.0, 2.0]))
-    assert ens.weight == 0.5 and ens.n * ens.weight == 1.0

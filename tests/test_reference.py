@@ -220,7 +220,7 @@ def test_stability_envelope_dominates_measured_distance():
     # N-particle run against a 4N reference at the same eps stays inside
     # the (astronomically loose) stability envelope
     from blobflow.particles import simulate
-    from blobflow.transport import w2_1d_refined
+    from blobflow.transport import w2
 
     kernel = MollifierSpec("gaussian", 1, 0.3)
     model = EnergyModel("power", 2.0)
@@ -228,9 +228,9 @@ def test_stability_envelope_dominates_measured_distance():
     t_small = simulate(prof.quantile_ensemble(32), kernel, model, T=0.1, dt=2e-3, record_every=10)
     t_big = simulate(prof.quantile_ensemble(128), kernel, model, T=0.1, dt=2e-3, record_every=10)
     rep = lambda_convexity(kernel, model)
-    dw0 = w2_1d_refined(t_small.snapshots[0][1], t_big.snapshots[0][1]).value
+    dw0 = w2(t_small.snapshots[0][1], t_big.snapshots[0][1])
     for (t, a), (_, b) in zip(t_small.snapshots[1:], t_big.snapshots[1:]):
-        measured = w2_1d_refined(a, b).value
+        measured = w2(a, b)
         assert measured <= stability_bound(rep, t, dw0)
 
 

@@ -18,9 +18,8 @@ from blobflow.transport import (
     linear_assignment,
     m2,
     w1_1d,
-    w2_1d,
-    w2_1d_refined,
-    w2_assignment,
+    w2,
+    w2_1d_positions,
     w2_assignment_positions,
 )
 
@@ -39,16 +38,16 @@ def brute_force(a, b, p=2):
 
 
 def test_single_atoms():
-    assert w2_1d(np.array([1.5]), np.array([-2.0])).value == 3.5
-    assert w1_1d(np.array([1.5]), np.array([-2.0])).value == 3.5
+    assert w2(np.array([1.5]), np.array([-2.0])) == 3.5
+    assert w1_1d(np.array([1.5]), np.array([-2.0])) == 3.5
 
 
 def test_identical_and_shuffled():
     a = np.array([0.0, 1.0])
-    assert w2_1d(a, a).value == 0.0
+    assert w2(a, a) == 0.0
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(12, 2))
-    assert w2_assignment(pts, rng.permutation(pts)).value == 0.0
+    assert w2(pts, rng.permutation(pts)) == 0.0
 
 
 def test_brute_force_agreement_1d():
@@ -56,9 +55,9 @@ def test_brute_force_agreement_1d():
     for _ in range(30):
         n = int(rng.integers(1, 7))
         a, b = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
-        assert abs(w2_1d(a, b).value - brute_force(a, b)) <= 1e-12
-        assert abs(w1_1d(a, b).value - brute_force(a, b, p=1)) <= 1e-12
-        assert abs(w2_assignment(a, b).value - w2_1d(a, b).value) <= 1e-12
+        assert abs(w2(a, b) - brute_force(a, b)) <= 1e-12
+        assert abs(w1_1d(a, b) - brute_force(a, b, p=1)) <= 1e-12
+        assert abs(w2_assignment_positions(a, b) - w2(a, b)) <= 1e-12
 
 
 def test_rotated_triangle_assignment():
@@ -69,18 +68,18 @@ def test_rotated_triangle_assignment():
     th = 2 * np.pi / 3
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rotated = (tri - centroid) @ rot.T + centroid
-    assert w2_assignment(tri, rotated).value <= 1e-12
+    assert w2(tri, rotated) <= 1e-12
     # a smaller rotation gives the pure displacement of the matched vertices
     th = 0.3
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rotated = (tri - centroid) @ rot.T + centroid
     expect = brute_force(tri, rotated)
-    assert abs(w2_assignment(tri, rotated).value - expect) <= 1e-12
+    assert abs(w2(tri, rotated) - expect) <= 1e-12
 
 
 @given(arrays(float, (6, 1), elements=finite), arrays(float, (6, 1), elements=finite))
 def test_w1_below_w2(a, b):
-    assert w1_1d(a, b).value <= w2_1d(a, b).value + 1e-12
+    assert w1_1d(a, b) <= w2(a, b) + 1e-12
 
 
 @given(
@@ -89,31 +88,64 @@ def test_w1_below_w2(a, b):
     arrays(float, (8, 1), elements=finite),
 )
 def test_metric_axioms(a, b, c):
-    dab = w2_1d(a, b).value
-    assert dab == w2_1d(b, a).value
-    assert dab <= w2_1d(a, c).value + w2_1d(c, b).value + 1e-10
-    assert w2_1d(a, a).value == 0.0
+    dab = w2(a, b)
+    assert dab == w2(b, a)
+    assert dab <= w2(a, c) + w2(c, b) + 1e-10
+    assert w2(a, a) == 0.0
 
 
 @given(arrays(float, (5, 1), elements=finite), arrays(float, (5, 1), elements=finite), st.floats(-10, 10))
 def test_translation_exact(a, b, shift):
-    assert w2_1d(a + shift, b + shift).value == pytest.approx(w2_1d(a, b).value, abs=1e-12)
+    assert w2(a + shift, b + shift) == pytest.approx(w2(a, b), abs=1e-12)
 
 
 @given(arrays(float, (5, 1), elements=finite), arrays(float, (5, 1), elements=finite), st.floats(0.01, 10))
 def test_scaling_exact(a, b, lam):
-    assert w2_1d(lam * a, lam * b).value == pytest.approx(lam * w2_1d(a, b).value, rel=1e-12, abs=1e-12)
+    assert w2(lam * a, lam * b) == pytest.approx(lam * w2(a, b), rel=1e-12, abs=1e-12)
 
 
 def test_mismatch_errors():
     with pytest.raises(ValueError):
-        w2_1d(np.zeros((3, 1)), np.zeros((4, 1)))
+        w2_1d_positions(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
-        w2_1d(np.zeros((3, 2)), np.zeros((3, 2)))
+        w1_1d(np.zeros((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        w2_assignment(np.zeros((2, 1)), np.zeros((2, 2)))
+        w2(np.zeros((2, 1)), np.zeros((2, 2)))
     with pytest.raises(SizeLimitError):
-        w2_assignment(np.zeros((513, 1)), np.zeros((513, 1)))
+        w2(np.zeros((513, 2)), np.zeros((513, 2)))
+
+
+def _merged_breakpoint_w2(a, b):
+    """W2 of n and m sorted 1d atoms as the quantile-gap integral over the merged breakpoints i m and j n of [0, n m]."""
+    a, b = np.sort(a[:, 0]), np.sort(b[:, 0])
+    n, m = a.size, b.size
+    ticks = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
+    lo = ticks[:-1]
+    gap = a[lo // m] - b[lo // n]
+    return float(np.sqrt(np.dot(np.diff(ticks) / (n * m), gap * gap)))
+
+
+def test_w2_is_exactly_the_method_it_picks():
+    rng = np.random.default_rng(12)
+    a, b, c = rng.normal(size=(9, 1)), rng.normal(size=(9, 1)), rng.normal(size=(14, 1))
+    assert w2(a, b) == w2_1d_positions(a[:, 0], b[:, 0])
+    assert w2(ParticleEnsemble(a), ParticleEnsemble(b)) == w2(a, b) == w2(a[:, 0], b[:, 0])
+    assert w2(a, c) == _merged_breakpoint_w2(a, c) and w2(c, a) == _merged_breakpoint_w2(c, a)
+    p, q = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+    assert w2(p, q) == w2_assignment_positions(p, q)
+    assert w2(ParticleEnsemble(p), ParticleEnsemble(q)) == w2(p, q)
+
+
+def test_w2_raises_where_no_exact_method_applies():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        w2(np.zeros((3, 1)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="particle counts differ"):
+        w2(np.zeros((3, 2)), np.zeros((4, 2)))
+    with pytest.raises(SizeLimitError):
+        w2(np.zeros((513, 2)), np.zeros((513, 2)))
+    # the cap bounds the assignment only: sorted order takes any count
+    assert w2(np.zeros((513, 1)), np.ones((513, 1))) == 1.0
+    assert w2(np.zeros((513, 1)), np.ones((600, 1))) == 1.0
 
 
 def _is_permutation(cols):
@@ -185,7 +217,7 @@ def test_moment_transport_inequality():
         n = int(rng.integers(1, 30))
         a = rng.normal(size=(n, 1))
         b = 2 * rng.normal(size=(n, 1)) + 1
-        assert m2(b) <= 2 * m2(a) + 2 * w2_1d(a, b).value ** 2 + 1e-12
+        assert m2(b) <= 2 * m2(a) + 2 * w2(a, b) ** 2 + 1e-12
 
 
 def test_quantile_gaussian_m2():
@@ -200,10 +232,10 @@ def test_refined_distance_consistency():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(6, 1))
     b = rng.normal(size=(6, 1))
-    assert w2_1d_refined(a, b).value == pytest.approx(w2_1d(a, b).value, abs=1e-14)
+    assert w2(a, b) == pytest.approx(w2_1d_positions(a, b), abs=1e-14)
     # repeating atoms leaves the measure unchanged
     a3 = np.repeat(a, 3, axis=0)
-    assert w2_1d_refined(a3, b).value == pytest.approx(w2_1d(a, b).value, abs=1e-12)
+    assert w2(a3, b) == pytest.approx(w2_1d_positions(a, b), abs=1e-12)
 
 
 def _lcm_repeat_w2(a, b):
@@ -220,14 +252,13 @@ def _lcm_repeat_w2(a, b):
 )
 def test_refined_matches_common_refinement(a, b):
     want = _lcm_repeat_w2(a, b)
-    assert abs(w2_1d_refined(a[:, None], b[:, None]).value - want) <= 1e-12 * max(1.0, want)
+    assert abs(w2(a[:, None], b[:, None]) - want) <= 1e-12 * max(1.0, want)
 
 
 def test_refined_beyond_the_common_refinement_size():
     # lcm(2003, 2999) ~ 6e6 atoms, past what the repeat formula could hold
     rng = np.random.default_rng(11)
     a, b = rng.normal(size=(2003, 1)), rng.normal(size=(2999, 1))
-    rep = w2_1d_refined(a, b)
-    assert np.isfinite(rep.value) and 0.0 < rep.value < 0.5
-    assert rep.value == pytest.approx(w2_1d_refined(b, a).value, rel=1e-12)
-    assert rep.n_points == 2003 + 2999 - 1  # coprime sizes share only the end points
+    dist = w2(a, b)
+    assert np.isfinite(dist) and 0.0 < dist < 0.5
+    assert dist == pytest.approx(w2(b, a), rel=1e-12)

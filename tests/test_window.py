@@ -132,15 +132,15 @@ def test_windowed_error_term_matches_dense(case, family, width):
 def test_window_holds_exactly_the_grid_nodes_within_reach(case):
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
-    win = grid.window(pos, reach)
+    win, r2 = grid.window(pos, reach)
     _, near = dense_pairs(pos, kernel, grid, reach)
-    held = np.isfinite(win.r2)
+    held = np.isfinite(r2)
     rows = np.broadcast_to(np.arange(len(pos))[:, None], win.lin.shape)
     counted = np.zeros_like(near)
     counted[rows[held], win.lin[held]] = True
     assert np.array_equal(counted, near) and np.count_nonzero(held) == np.count_nonzero(near)
     diff = (grid.nodes()[None] - pos[:, None])[rows[held], win.lin[held]]
-    assert np.array_equal(win.r2[held], np.sum(diff * diff, axis=-1))
+    assert np.array_equal(r2[held], np.sum(diff * diff, axis=-1))
     n, d, w = win.off.shape
     per_pair = [np.broadcast_to(win.off[:, k].reshape((n,) + (1,) * k + (w,) + (1,) * (d - k - 1)), (n,) + (w,) * d)
                 for k in range(d)]
