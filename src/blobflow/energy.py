@@ -94,25 +94,31 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class Deposit:
-    """One state's V_eps * rho^N on a grid, with the window and the pair values it came from.
+    """One state's V_eps * rho^N on a grid, with the window and the gradient factors it came from.
 
     The energy reads ``density``, the velocity gathers F'(density) back
-    through ``win`` and ``g``, and the error term deposits ``v`` again.
+    through ``win`` and ``g``, and the error term reads ``carried``.  The
+    V_eps pair values are not kept: they are dead once deposited.
     """
 
     grid: Grid
     win: Window
-    v: np.ndarray  # (N, W^d) V_eps(node - x) per pair
     g: np.ndarray  # (N, W^d) g_eps(|node - x|^2) per pair, grad V_eps(y) = y g_eps(|y|^2)
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
+    carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
 
-def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid) -> Deposit:
-    """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach."""
+def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, carry=None) -> Deposit:
+    """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
+
+    With ``carry`` (N, m), each column is deposited too, weighted by V_eps
+    (``Deposit.carried``).  V_eps is evaluated over r2's buffer.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win, r2 = grid.window(pos, kernel.padding_radius())
-    v, g = value_and_grad_factor(kernel, r2)
-    return Deposit(grid, win, v, g, win.deposit(v) / len(pos))
+    v, g = value_and_grad_factor(kernel, r2, out=r2)
+    carried = None if carry is None else np.stack([win.deposit(v * c[:, None]) for c in carry.T], axis=-1)
+    return Deposit(grid, win, g, win.deposit(v) / len(pos), carried)
 
 
 def regularized_energy(

@@ -141,14 +141,13 @@ def error_term_z(
     """Commutator error z = V_eps*(rho grad phi) - (grad phi) V_eps*rho."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    dep = mollified_density(ens.positions, kernel, grid)
     gp_part = phi.grad(ens.positions)  # (N,) or (N, d)
     gp_node = phi.grad(grid.nodes())  # (G,) or (G, d)
     if ens.d == 1:
         gp_part = gp_part[:, None]
         gp_node = gp_node[:, None]
-    carried = np.stack([dep.win.deposit(dep.v * g[:, None]) for g in gp_part.T], axis=-1)  # V_eps * (rho grad phi)
-    z = carried / ens.n - dep.density[:, None] * gp_node
+    dep = mollified_density(ens.positions, kernel, grid, carry=gp_part)  # carried: N V_eps * (rho grad phi)
+    z = dep.carried / ens.n - dep.density[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
     l1 = float(np.dot(grid.trapezoid_weights(), znorm))
     bound = kernel.eps * phi.sup_hess() * unit_m1(kernel)

@@ -75,18 +75,20 @@ class Grid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
         c = int(np.ceil(reach / self.spacing))
-        idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
+        # (N, d, W) node indices per axis, as floats holding exact integers
+        idx = np.floor((pts - self.origin) / self.spacing)[:, :, None] + np.arange(-c, c + 2.0)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
-        shape = np.asarray(self.shape)[:, None]
-        sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)  # a node off the grid on any axis is at inf
+        clipped = np.clip(idx, 0, np.asarray(self.shape)[:, None] - 1)
+        sq = off * off
+        np.copyto(sq, np.inf, where=clipped != idx)  # a node off the grid on any axis is at inf
         strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
 
         def box(a):  # axis k's (N, W) values laid along axis k of the (N, W, ..., W) box, row-major
             return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
 
-        lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
+        lin = reduce(np.add, box((clipped * strides[:, None]).astype(np.intp))).reshape(n, -1)
         r2 = reduce(np.add, box(sq)).reshape(n, -1)
-        r2[r2 > reach * reach] = np.inf
+        np.copyto(r2, np.inf, where=r2 > reach * reach)
         return Window(off, lin, prod(self.shape)), r2
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
@@ -125,7 +127,8 @@ class Window:
         n, d, w = self.off.shape
         box = values.reshape((n,) + (w,) * d)
         others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
-        return np.stack([np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k))) for k in range(d)], axis=-1)
+        marginal = lambda k: box.sum(axis=others(k)) if d > 1 else box  # a 1d box has no other axis to sum
+        return np.stack([np.einsum("nw,nw->n", self.off[:, k], marginal(k)) for k in range(d)], axis=-1)
 
 
 def lattice_nodes(axes) -> np.ndarray:
@@ -233,12 +236,15 @@ def write_csv(path, header: str, columns) -> None:
     """One CSV row per index of the equal-length columns, under header.
 
     Each column goes through tolist(), so every cell is a Python scalar and
-    str gives the shortest round-trip repr for floats.
+    str (through the row template's %s) gives the shortest round-trip repr
+    for floats.  Rows are formatted one at a time as they are written, so
+    no copy of the whole file is held.
     """
     cols = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%s"] * len(cols)) + "\n"
     with Path(path).open("w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cols))
+        fh.writelines(map(row.__mod__, zip(*cols)))
 
 
 def write_field_csv(field: GridField, path) -> None:

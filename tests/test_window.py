@@ -6,12 +6,16 @@ builds the dense (N, G, d) displacement tensor over every particle and
 grid node instead, drops the pairs beyond R (the truncation the window
 applies), and reads F' only where the deposit is nonzero.
 """
+import tracemalloc
+from functools import reduce
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobflow import energy, particles
+from blobflow import energy, fields, particles
 from blobflow.energy import EnergyModel, mollified_density
 from blobflow.fields import TestFunction, error_term_grid, error_term_z
 from blobflow.grids import QuadratureSpec
@@ -147,6 +151,78 @@ def test_window_holds_exactly_the_grid_nodes_within_reach(case):
     assert np.array_equal(np.stack(per_pair, axis=-1).reshape(n, -1, d)[held], diff)
 
 
+def parent_window(grid, points, reach):
+    """``Grid.window`` as it was before its per-call cuts: (off, lin, r2), the oracle of the cheaper one."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = pts.shape
+    c = int(np.ceil(reach / grid.spacing))
+    idx = np.floor((pts - grid.origin) / grid.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
+    off = grid.origin[:, None] + grid.spacing * idx - pts[:, :, None]
+    shape = np.asarray(grid.shape)[:, None]
+    sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)
+    strides = np.array([prod(grid.shape[k + 1:]) for k in range(d)])
+
+    def box(a):
+        return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
+
+    lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
+    r2 = reduce(np.add, box(sq)).reshape(n, -1)
+    r2[r2 > reach * reach] = np.inf
+    return off, lin, r2
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_window_matches_the_parent_window_bit_for_bit(case):
+    kernel, _, pos, grid, _ = case
+    reach = kernel.padding_radius()
+    win, r2 = grid.window(pos, reach)
+    off, lin, r2_parent = parent_window(grid, pos, reach)
+    held = np.isfinite(r2)
+    assert np.array_equal(win.off, off) and np.array_equal(r2, r2_parent)
+    assert np.array_equal(win.lin[held], lin[held])
+    assert win.lin.min() >= 0 and win.lin.max() < win.size
+
+
+@settings(max_examples=60)
+@given(cases(grid_kinds=("auto", "pinned")), st.sampled_from(["gaussian_bump", "poly_bump"]))
+def test_error_term_carries_v_times_grad_phi_exactly(case, family):
+    kernel, _, pos, _, quad = case
+    phi = TestFunction(family, np.full(kernel.d, 0.2), 0.5)
+    grid = error_term_grid(pos, kernel, phi, quad) if quad.domain is None else quad.grid_for(pos, kernel)
+    deposits = []
+
+    def recording(*args, **kwargs):
+        deposits.append(mollified_density(*args, **kwargs))
+        return deposits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "mollified_density", recording)
+        error_term_z(ParticleEnsemble(pos), kernel, phi, grid)
+    win, r2 = grid.window(pos, kernel.padding_radius())
+    v = value_and_grad_factor(kernel, r2)[0]
+    gp = phi.grad(pos).reshape(len(pos), -1)
+    [dep] = deposits
+    assert np.array_equal(dep.carried, np.stack([win.deposit(v * gp[:, k, None]) for k in range(kernel.d)], axis=-1))
+
+
+@pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
+def test_velocity_path_holds_at_most_three_pair_arrays(family, n):
+    # particles in a box one kernel width across: the (N, W^d) pair arrays dwarf the grid
+    kernel, model = MollifierSpec(family, 2, 0.2), EnergyModel("power", 2.0)
+    pos = np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
+    grid = QuadratureSpec().grid_for(pos, kernel)
+    pair_bytes = grid.window(pos, kernel.padding_radius())[1].nbytes
+    velocity_on_grid(mollified_density(pos, kernel, grid), model)
+    tracemalloc.start()
+    try:
+        velocity_on_grid(mollified_density(pos, kernel, grid), model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * pair_bytes
+
+
 def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
     # beyond 8 eps the unit gaussian is below exp(-32) of its peak
     kernel = MollifierSpec("gaussian", 1, 0.1)
@@ -174,9 +250,9 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
     pos = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
     shapes, displacement_calls = [], []
 
-    def recording(spec, r2):
+    def recording(spec, r2, **kwargs):
         shapes.append(np.shape(r2))
-        return value_and_grad_factor(spec, r2)
+        return value_and_grad_factor(spec, r2, **kwargs)
 
     def displacements(fn):
         def wrapped(spec, diff):
