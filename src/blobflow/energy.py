@@ -112,11 +112,12 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
-    (``Deposit.carried``).  V_eps is evaluated over r2's buffer.
+    (``Deposit.carried``).  V_eps is evaluated over r2's buffer and let go
+    once deposited.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win, r2 = grid.window(pos, kernel.padding_radius())
-    v, g = value_and_grad_factor(kernel, r2, out=r2)
+    v, g = value_and_grad_factor(kernel, r2)
     carried = None if carry is None else np.stack([win.deposit(v * c[:, None]) for c in carry.T], axis=-1)
     return Deposit(grid, win, g, win.deposit(v) / len(pos), carried)
 

@@ -75,20 +75,18 @@ class Grid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
         c = int(np.ceil(reach / self.spacing))
-        # (N, d, W) node indices per axis, as floats holding exact integers
-        idx = np.floor((pts - self.origin) / self.spacing)[:, :, None] + np.arange(-c, c + 2.0)
+        idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
-        clipped = np.clip(idx, 0, np.asarray(self.shape)[:, None] - 1)
-        sq = off * off
-        np.copyto(sq, np.inf, where=clipped != idx)  # a node off the grid on any axis is at inf
+        shape = np.asarray(self.shape)[:, None]
+        sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)  # a node off the grid on any axis is at inf
         strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
 
         def box(a):  # axis k's (N, W) values laid along axis k of the (N, W, ..., W) box, row-major
             return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
 
-        lin = reduce(np.add, box((clipped * strides[:, None]).astype(np.intp))).reshape(n, -1)
+        lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
         r2 = reduce(np.add, box(sq)).reshape(n, -1)
-        np.copyto(r2, np.inf, where=r2 > reach * reach)
+        r2[r2 > reach * reach] = np.inf
         return Window(off, lin, prod(self.shape)), r2
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
@@ -127,8 +125,7 @@ class Window:
         n, d, w = self.off.shape
         box = values.reshape((n,) + (w,) * d)
         others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
-        marginal = lambda k: box.sum(axis=others(k)) if d > 1 else box  # a 1d box has no other axis to sum
-        return np.stack([np.einsum("nw,nw->n", self.off[:, k], marginal(k)) for k in range(d)], axis=-1)
+        return np.stack([np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k))) for k in range(d)], axis=-1)
 
 
 def lattice_nodes(axes) -> np.ndarray:

@@ -123,26 +123,25 @@ def unit_m2(spec: MollifierSpec) -> float:
     return UNIT_MOMENTS[spec.family, spec.d][2]
 
 
-def value_and_grad_factor(spec: MollifierSpec, r2, out=None) -> tuple:
+def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     """(V_eps, g_eps) at squared distances r2, with grad V_eps(x) = x g_eps(|x|^2).
 
     The one evaluation of the kernel profiles.  V_eps and g_eps share one
     exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
     exactly 0.0 at r2 = inf, which is how ``Grid.window`` marks the pairs
-    that do not count.  V_eps is written into ``out`` (a new array the size
-    of r2 by default; ``out=r2`` evaluates in place, so r2 is gone
-    afterwards), g_eps into one new array; each step works in place.
+    that do not count.  r2 is consumed: V_eps is written over its buffer (a
+    float array r2 is gone afterwards), g_eps into one new array, and each
+    step works in place.
     """
     r2 = np.asarray(r2, dtype=float)
-    out = np.empty(r2.shape) if out is None else out
     inv_eps2 = spec.eps ** -2.0
     scale = spec.eps ** (-spec.d)
     if spec.family == "gaussian":
-        v = np.multiply(r2, -0.5 * inv_eps2, out=out)
+        v = np.multiply(r2, -0.5 * inv_eps2, out=r2)
         np.exp(v, out=v)
         v *= _INV_SQRT_2PI ** spec.d * scale
         return v, v * -inv_eps2
-    t = np.multiply(r2, -inv_eps2, out=out)
+    t = np.multiply(r2, -inv_eps2, out=r2)
     t += 1.0
     np.maximum(t, 0.0, out=t)
     g = t * t

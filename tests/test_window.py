@@ -7,8 +7,6 @@ grid node instead, drops the pairs beyond R (the truncation the window
 applies), and reads F' only where the deposit is nonzero.
 """
 import tracemalloc
-from functools import reduce
-from math import prod
 
 import numpy as np
 import pytest
@@ -151,39 +149,6 @@ def test_window_holds_exactly_the_grid_nodes_within_reach(case):
     assert np.array_equal(np.stack(per_pair, axis=-1).reshape(n, -1, d)[held], diff)
 
 
-def parent_window(grid, points, reach):
-    """``Grid.window`` as it was before its per-call cuts: (off, lin, r2), the oracle of the cheaper one."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = pts.shape
-    c = int(np.ceil(reach / grid.spacing))
-    idx = np.floor((pts - grid.origin) / grid.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
-    off = grid.origin[:, None] + grid.spacing * idx - pts[:, :, None]
-    shape = np.asarray(grid.shape)[:, None]
-    sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)
-    strides = np.array([prod(grid.shape[k + 1:]) for k in range(d)])
-
-    def box(a):
-        return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
-
-    lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
-    r2 = reduce(np.add, box(sq)).reshape(n, -1)
-    r2[r2 > reach * reach] = np.inf
-    return off, lin, r2
-
-
-@settings(max_examples=100)
-@given(cases())
-def test_window_matches_the_parent_window_bit_for_bit(case):
-    kernel, _, pos, grid, _ = case
-    reach = kernel.padding_radius()
-    win, r2 = grid.window(pos, reach)
-    off, lin, r2_parent = parent_window(grid, pos, reach)
-    held = np.isfinite(r2)
-    assert np.array_equal(win.off, off) and np.array_equal(r2, r2_parent)
-    assert np.array_equal(win.lin[held], lin[held])
-    assert win.lin.min() >= 0 and win.lin.max() < win.size
-
-
 @settings(max_examples=60)
 @given(cases(grid_kinds=("auto", "pinned")), st.sampled_from(["gaussian_bump", "poly_bump"]))
 def test_error_term_carries_v_times_grad_phi_exactly(case, family):
@@ -250,9 +215,9 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
     pos = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
     shapes, displacement_calls = [], []
 
-    def recording(spec, r2, **kwargs):
+    def recording(spec, r2):
         shapes.append(np.shape(r2))
-        return value_and_grad_factor(spec, r2, **kwargs)
+        return value_and_grad_factor(spec, r2)
 
     def displacements(fn):
         def wrapped(spec, diff):
