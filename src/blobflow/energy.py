@@ -92,13 +92,27 @@ class EnergyModel:
         return x
 
 
+# The most pairs in one block of particle rows.  The kernel is evaluated,
+# and the velocity gathered, one block at a time, so only the window index
+# ``lin`` and the factors ``g`` are full-size.  2**16 pairs is 0.5 MB of
+# float64, and every 1d workload fits in one block.
+BLOCK_PAIRS = 1 << 16
+
+
+def row_blocks(rows: int, pairs_per_row: int):
+    """Consecutive row slices of at most BLOCK_PAIRS pairs each (one row at least), in order."""
+    step = max(1, BLOCK_PAIRS // pairs_per_row)
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
 @dataclass(frozen=True)
 class Deposit:
     """One state's V_eps * rho^N on a grid, with the window and the gradient factors it came from.
 
     The energy reads ``density``, the velocity gathers F'(density) back
     through ``win`` and ``g``, and the error term reads ``carried``.  The
-    V_eps pair values are not kept: they are dead once deposited.
+    V_eps pair values are not kept: each block of them is dead once
+    deposited, and ``g`` lives in the buffer ``Grid.window`` gave r2.
     """
 
     grid: Grid
@@ -112,14 +126,19 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
-    (``Deposit.carried``).  V_eps is evaluated over r2's buffer and let go
-    once deposited.
+    (``Deposit.carried``).  The particles are evaluated in row blocks
+    (``row_blocks``): g_eps is written over each block's rows of r2, and the
+    block's V_eps is deposited onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     win, r2 = grid.window(pos, kernel.padding_radius())
-    v, g = value_and_grad_factor(kernel, r2)
-    carried = None if carry is None else np.stack([win.deposit(v * c[:, None]) for c in carry.T], axis=-1)
-    return Deposit(grid, win, g, win.deposit(v) / len(pos), carried)
+    cols = () if carry is None else carry.T
+    density, carried = None, [None] * len(cols)
+    for rows in row_blocks(*r2.shape):
+        v = value_and_grad_factor(kernel, r2[rows])[0]
+        carried = [win.deposit(v * c[rows, None], rows, acc) for c, acc in zip(cols, carried)]
+        density = win.deposit(v, rows, density)
+    return Deposit(grid, win, r2, density / len(pos), None if carry is None else np.stack(carried, axis=-1))
 
 
 def regularized_energy(

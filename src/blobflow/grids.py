@@ -112,20 +112,35 @@ class Window:
     lin: np.ndarray  # (N, W^d) flat node indices into the grid's row-major nodes
     size: int  # G, the grid's node count
 
-    def deposit(self, values: np.ndarray) -> np.ndarray:
-        """Flat (G,) sums of the (N, W^d) pair values over the points, per node."""
-        return np.bincount(self.lin.ravel(), weights=values.ravel(), minlength=self.size)
+    def deposit(self, values: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """Flat (G,) sums per node of the pair values of the points in rows (all by default).
 
-    def contract(self, values: np.ndarray) -> np.ndarray:
-        """(N, d) sums over each point's box of (node - point) times the (N, W^d) pair values.
+        With ``out``, the sums are added onto it in place.  Both ``bincount``
+        and ``add.at`` add the pairs one by one in row order, so depositing
+        the rows block by block onto the first block's sums gives the bits
+        of one deposit of every row.
+        """
+        lin = self.lin[rows].ravel()
+        if out is None:
+            return np.bincount(lin, weights=values.ravel(), minlength=self.size)
+        np.add.at(out, lin, values.ravel())
+        return out
+
+    def contract(self, values: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """Sums over each box of (node - point) times the pair values, for the points in rows (all by default).
 
         Axis k sums the values over the other box axes first, then weighs
-        them by ``off[:, k]``, so no (N, W^d, d) array is built.
+        them by ``off[:, k]``, so no (N, W^d, d) array is built.  The
+        (rows, d) sums land in ``out`` when it is given.
         """
-        n, d, w = self.off.shape
+        off = self.off[rows]
+        n, d, w = off.shape
         box = values.reshape((n,) + (w,) * d)
         others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
-        return np.stack([np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k))) for k in range(d)], axis=-1)
+        out = np.empty((n, d)) if out is None else out
+        for k in range(d):
+            np.einsum("nw,nw->n", off[:, k], box.sum(axis=others(k)), out=out[:, k])
+        return out
 
 
 def lattice_nodes(axes) -> np.ndarray:

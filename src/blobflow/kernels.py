@@ -129,27 +129,27 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     The one evaluation of the kernel profiles.  V_eps and g_eps share one
     exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
     exactly 0.0 at r2 = inf, which is how ``Grid.window`` marks the pairs
-    that do not count.  r2 is consumed: V_eps is written over its buffer (a
-    float array r2 is gone afterwards), g_eps into one new array, and each
-    step works in place.
+    that do not count.  r2 is consumed: g_eps is written over its buffer (a
+    float array r2 becomes g_eps), V_eps into one new array, and each step
+    works in place.
     """
     r2 = np.asarray(r2, dtype=float)
     inv_eps2 = spec.eps ** -2.0
     scale = spec.eps ** (-spec.d)
     if spec.family == "gaussian":
-        v = np.multiply(r2, -0.5 * inv_eps2, out=r2)
-        np.exp(v, out=v)
+        v = np.exp(np.multiply(r2, -0.5 * inv_eps2, out=r2))
         v *= _INV_SQRT_2PI ** spec.d * scale
-        return v, v * -inv_eps2
+        return v, np.multiply(v, -inv_eps2, out=r2)
     t = np.multiply(r2, -inv_eps2, out=r2)
     t += 1.0
     np.maximum(t, 0.0, out=t)
-    g = t * t
     c = BUMP_NORMALISATION[spec.d] * scale
-    t *= g
-    t *= c
-    g *= -6.0 * c * inv_eps2
-    return t, g
+    v = t * t
+    v *= t
+    v *= c
+    t *= t
+    t *= -6.0 * c * inv_eps2
+    return v, t
 
 
 def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport
-from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
+from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density, row_blocks
 from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
 from .grids import QuadratureSpec
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
@@ -87,15 +87,20 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     """Blob velocities gathered from a deposit on its own grid.
 
     F' is read only where the deposit is nonzero: nothing else is gathered,
-    and the entropy's F' is undefined at zero density.
+    and the entropy's F' is undefined at zero density.  The gather walks
+    the deposit's row blocks, so no full-size ``wf[lin]`` is built.
     """
     wf = np.zeros_like(dep.density)
     held = dep.density != 0.0
     wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
-    gw = wf[dep.win.lin]
-    gw *= dep.g
-    return dep.win.contract(gw)
+    win = dep.win
+    vel = np.empty(win.off.shape[:2])
+    for rows in row_blocks(*dep.g.shape):
+        gw = wf[win.lin[rows]]
+        gw *= dep.g[rows]
+        win.contract(gw, rows, vel[rows])
+    return vel
 
 
 def velocity(

@@ -37,7 +37,8 @@ COM_TOL = 1e-8
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     d = traj.snapshots[0][1].d
-    t = np.concatenate([np.full(ens.n, float(t)) for t, ens in traj.snapshots])
+    # each snapshot's time formatted once, as str formats each float cell, not once per particle
+    t = np.repeat(np.array([str(float(t)) for t, _ in traj.snapshots], dtype=object), [ens.n for _, ens in traj.snapshots])
     ids = np.concatenate([np.arange(ens.n) for _, ens in traj.snapshots])
     pos = np.concatenate([ens.positions for _, ens in traj.snapshots])
     write_csv(path, "t,id," + ",".join(f"x{a}" for a in range(d)), [t, ids, *pos.T])

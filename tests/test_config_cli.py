@@ -10,7 +10,7 @@ from blobflow.cli import main
 from blobflow.config import ExperimentConfig
 from blobflow.energy import EnergyModel
 from blobflow.errors import ConfigError, SizeLimitError
-from blobflow.grids import Grid, GridField, QuadratureSpec, write_field_csv
+from blobflow.grids import Grid, GridField, QuadratureSpec, write_csv, write_field_csv
 from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble, Trajectory
 from blobflow.runner import compare_trajectories, converge, diagnose, execute, read_trajectory_csv, write_trajectory_csv
@@ -324,6 +324,18 @@ def test_trajectory_csv_roundtrip_and_row_order(tmp_path):
     (tmp_path / "r.csv").write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
     with pytest.raises(ValueError, match="increasing t"):
         read_trajectory_csv(tmp_path / "r.csv")
+
+
+def test_trajectory_csv_formats_each_time_as_its_float_cells_would(tmp_path):
+    rng = np.random.default_rng(1)
+    snaps = [(t, ParticleEnsemble(rng.normal(size=(4, 2)), time=t)) for t in (0.1 + 0.2, 1e-7, 3.0, np.float64(1 / 3))]
+    write_trajectory_csv(Trajectory(snapshots=snaps, diagnostics=[]), tmp_path / "t.csv")
+    # one float cell per row, formatted by write_csv
+    t = np.concatenate([np.full(ens.n, float(t)) for t, ens in snaps])
+    ids = np.concatenate([np.arange(ens.n) for _, ens in snaps])
+    pos = np.concatenate([ens.positions for _, ens in snaps])
+    write_csv(tmp_path / "cells.csv", "t,id,x0,x1", [t, ids, *pos.T])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_cli_converge(tmp_path):

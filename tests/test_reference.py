@@ -114,6 +114,26 @@ def test_fd_oracle_preserves_symmetry_and_mass():
     assert final.mass() == pytest.approx(initial.mass(), abs=1e-8)
 
 
+def test_fd_oracle_solves_its_newton_systems_as_solve_banded_does(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    systems, gtsv = [], lapack.dgtsv
+
+    def recording(dl, d, du, b):
+        out = gtsv(dl, d, du, b)
+        systems.append((dl.copy(), d.copy(), du.copy(), b.copy(), out[3]))
+        return out
+
+    monkeypatch.setattr(lapack, "dgtsv", recording)
+    _, initial = _barenblatt_initial(1 / 128)
+    fd_pme_oracle(initial, m=2.0, T=40 * 4 / 128**2, dt=4 / 128**2)
+    assert len(systems) > 40
+    for dl, d, du, b, x in systems:
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        assert np.array_equal(solve_banded((1, 1), ab, b), x)
+
+
 def test_fd_oracle_tracks_profile_coarse():
     prof, initial = _barenblatt_initial(1 / 128)
     series = fd_pme_oracle(initial, m=2.0, T=0.25, dt=4 / 128**2)

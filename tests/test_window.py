@@ -171,21 +171,96 @@ def test_error_term_carries_v_times_grad_phi_exactly(case, family):
     assert np.array_equal(dep.carried, np.stack([win.deposit(v * gp[:, k, None]) for k in range(kernel.d)], axis=-1))
 
 
+def traced_peak(fn):
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
-def test_velocity_path_holds_at_most_three_pair_arrays(family, n):
+def test_velocity_path_holds_at_most_two_pair_arrays(monkeypatch, family, n):
     # particles in a box one kernel width across: the (N, W^d) pair arrays dwarf the grid
     kernel, model = MollifierSpec(family, 2, 0.2), EnergyModel("power", 2.0)
     pos = np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
     grid = QuadratureSpec().grid_for(pos, kernel)
-    pair_bytes = grid.window(pos, kernel.padding_radius())[1].nbytes
-    velocity_on_grid(mollified_density(pos, kernel, grid), model)
-    tracemalloc.start()
-    try:
-        velocity_on_grid(mollified_density(pos, kernel, grid), model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * pair_bytes
+    pairs = grid.window(pos, kernel.padding_radius())[1]
+    monkeypatch.setattr(energy, "BLOCK_PAIRS", min(energy.BLOCK_PAIRS, pairs.size // 8))
+    peak = traced_peak(lambda: velocity_on_grid(mollified_density(pos, kernel, grid), model))
+    assert peak <= 2.5 * pairs.nbytes
+
+
+@pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
+def test_error_term_deposit_holds_at_most_two_pair_arrays(monkeypatch, family, n):
+    kernel, phi = MollifierSpec(family, 2, 0.2), TestFunction("poly_bump", np.full(2, 0.05), 0.3)
+    pos = np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
+    grid = error_term_grid(pos, kernel, phi, QuadratureSpec())
+    pairs = grid.window(pos, kernel.padding_radius())[1]
+    monkeypatch.setattr(energy, "BLOCK_PAIRS", min(energy.BLOCK_PAIRS, pairs.size // 8))
+    peak = traced_peak(lambda: error_term_z(ParticleEnsemble(pos), kernel, phi, grid))
+    assert peak <= 2.5 * pairs.nbytes
+
+
+def blocked_run(monkeypatch, block_pairs, pos, kernel, model, grid, carry):
+    monkeypatch.setattr(energy, "BLOCK_PAIRS", block_pairs)
+    dep = mollified_density(pos, kernel, grid, carry=carry)
+    return dep.density, dep.carried, velocity_on_grid(mollified_density(pos, kernel, grid), model)
+
+
+@settings(max_examples=100)
+@given(cases(), st.integers(1, 5))
+def test_row_blocks_give_the_bits_of_one_block(case, rows):
+    # every row block is deposited onto the sums so far in row order, so the bits cannot depend on the blocks
+    kernel, model, pos, grid, _ = case
+    carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
+    per_row = grid.window(pos, kernel.padding_radius())[1].shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        whole = blocked_run(mp, len(pos) * per_row, pos, kernel, model, grid, carry)
+        for block_pairs in (1, rows * per_row):
+            for got, want in zip(blocked_run(mp, block_pairs, pos, kernel, model, grid, carry), whole):
+                assert np.array_equal(got, want)
+
+
+def value_and_grad_factor_with_v_over_r2(spec, r2):
+    """The kernel evaluation as it was when V_eps, not g_eps, took r2's buffer: the bit-for-bit oracle."""
+    r2 = np.asarray(r2, dtype=float)
+    inv_eps2 = spec.eps ** -2.0
+    scale = spec.eps ** (-spec.d)
+    if spec.family == "gaussian":
+        v = np.multiply(r2, -0.5 * inv_eps2, out=r2)
+        np.exp(v, out=v)
+        v *= (1.0 / np.sqrt(2.0 * np.pi)) ** spec.d * scale
+        return v, v * -inv_eps2
+    t = np.multiply(r2, -inv_eps2, out=r2)
+    t += 1.0
+    np.maximum(t, 0.0, out=t)
+    g = t * t
+    c = {1: 35.0 / 32.0, 2: 4.0 / np.pi}[spec.d] * scale
+    t *= g
+    t *= c
+    g *= -6.0 * c * inv_eps2
+    return t, g
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(["gaussian", "bump"]), st.sampled_from([1, 2]), st.floats(0.05, 2.0),
+    st.integers(0, 2**32 - 1), st.sampled_from(["array", "0-d", "scalar"]),
+)
+def test_kernel_evaluation_keeps_the_bits_of_v_over_r2(family, d, eps, seed, form):
+    spec = MollifierSpec(family, d, eps)
+    r2 = np.random.default_rng(seed).uniform(0.0, 3.0 * spec.padding_radius() ** 2, size=40)
+    r2[::5] = np.inf
+    r2[1] = 0.0
+    make = {"array": lambda: r2.copy(), "0-d": lambda: np.array(r2[2]), "scalar": lambda: float(r2[2])}[form]
+    for got, want in zip(value_and_grad_factor(spec, make()), value_and_grad_factor_with_v_over_r2(spec, make())):
+        assert np.array_equal(got, want)
+    if form == "scalar":
+        for r in (0.0, np.inf):
+            assert value_and_grad_factor(spec, r) == value_and_grad_factor_with_v_over_r2(spec, r)
 
 
 def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
