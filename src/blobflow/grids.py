@@ -66,28 +66,21 @@ class Grid:
         return reduce(np.multiply.outer, per_axis).ravel()
 
     def window(self, points: np.ndarray, reach: float) -> tuple:
-        """(Window, r2): each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
+        """(Window, sq): each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
 
-        r2 (N, W^d) is each pair's squared distance, inf for a node off the grid
-        or beyond reach, where every kernel profile is exactly 0.0; the window
-        does not keep it, so it lives only as long as its caller needs it.
+        sq (N, d, W) is each node-minus-point offset squared, inf for a node off
+        the grid on that axis; ``Window.r2`` sums row blocks of it.  The window
+        does not keep sq, so it lives only as long as its caller needs it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n, d = pts.shape
+        d = pts.shape[1]
         c = int(np.ceil(reach / self.spacing))
         idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
         shape = np.asarray(self.shape)[:, None]
         sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)  # a node off the grid on any axis is at inf
         strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
-
-        def box(a):  # axis k's (N, W) values laid along axis k of the (N, W, ..., W) box, row-major
-            return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
-
-        lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
-        r2 = reduce(np.add, box(sq)).reshape(n, -1)
-        r2[r2 > reach * reach] = np.inf
-        return Window(off, lin, prod(self.shape)), r2
+        return Window(off, np.clip(idx, 0, shape - 1) * strides[:, None], prod(self.shape), reach), sq
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -103,14 +96,30 @@ class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
-    point (``Grid.window``'s r2 is finite there).  A box may overhang the
-    grid's edge; its nodes there are clipped to an edge index.  Only ``lin``
-    is per pair: the displacements stay per axis in ``off``.
+    point (its ``r2`` is finite).  A box may overhang the grid's edge; its
+    nodes there are clipped to an edge index.  Nothing is kept per pair:
+    ``lin`` and ``r2`` form a row block's pairs when it needs them.
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
-    lin: np.ndarray  # (N, W^d) flat node indices into the grid's row-major nodes
+    at: np.ndarray  # (N, d, W) clipped node index along each axis times that axis's row-major stride
     size: int  # G, the grid's node count
+    reach: float  # R: a pair beyond it does not count
+
+    def lin(self, rows: slice = slice(None)) -> np.ndarray:
+        """(rows, W^d) flat indices into the grid's row-major nodes of the box nodes of the points in rows."""
+        return box_sum(self.at[rows])
+
+    def r2(self, sq: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """(rows, W^d) squared distances from the points in rows to their box nodes, inf off the grid or beyond reach.
+
+        sq is the array ``Grid.window`` returned with this window.  In 1d r2 is
+        a view of sq's rows, which the reach cut and a kernel evaluation on r2
+        write over: take each row's r2 once.
+        """
+        r2 = box_sum(sq[rows])
+        r2[r2 > self.reach * self.reach] = np.inf
+        return r2
 
     def deposit(self, values: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """Flat (G,) sums per node of the pair values of the points in rows (all by default).
@@ -120,7 +129,7 @@ class Window:
         the rows block by block onto the first block's sums gives the bits
         of one deposit of every row.
         """
-        lin = self.lin[rows].ravel()
+        lin = self.lin(rows).ravel()
         if out is None:
             return np.bincount(lin, weights=values.ravel(), minlength=self.size)
         np.add.at(out, lin, values.ravel())
@@ -141,6 +150,12 @@ class Window:
         for k in range(d):
             np.einsum("nw,nw->n", off[:, k], box.sum(axis=others(k)), out=out[:, k])
         return out
+
+
+def box_sum(a: np.ndarray) -> np.ndarray:
+    """Flat (n, W^d) sums of per-axis (n, d, W) values laid along the axes of the (n, W, ..., W) box, row-major; in 1d a view of a."""
+    n, d, _ = a.shape
+    return reduce(np.add, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
 
 
 def lattice_nodes(axes) -> np.ndarray:

@@ -128,7 +128,7 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
 
     The one evaluation of the kernel profiles.  V_eps and g_eps share one
     exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
-    exactly 0.0 at r2 = inf, which is how ``Grid.window`` marks the pairs
+    exactly 0.0 at r2 = inf, which is how ``Window.r2`` marks the pairs
     that do not count.  r2 is consumed: g_eps is written over its buffer (a
     float array r2 becomes g_eps), V_eps into one new array, and each step
     works in place.

@@ -14,7 +14,9 @@ evaluation on the box's squared distances gives both V_eps and the factor
 g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
 from V_eps (``energy.Deposit``), and each particle's velocity component k
 is the sum over its box of the node-minus-particle offset along k times
-g_eps F' w, in O(N W^d) time and memory however large the grid.
+g_eps F' w, in O(N W^d) time and memory however large the grid.  The pairs
+are formed, evaluated and gathered per block of particle rows, so g_eps
+is the one full-size (N, W^d) pair array.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -96,9 +98,9 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
     win = dep.win
     vel = np.empty(win.off.shape[:2])
-    for rows in row_blocks(*dep.g.shape):
-        gw = wf[win.lin[rows]]
-        gw *= dep.g[rows]
+    for rows, g in zip(row_blocks(win), dep.g, strict=True):
+        gw = wf[win.lin(rows)]
+        gw *= g
         win.contract(gw, rows, vel[rows])
     return vel
 

@@ -265,7 +265,9 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     if not isinstance(dens, BarenblattProfile) or model.kind != "power":
         raise ConfigError(
             "missing reference: the convergence harness needs a self-similar "
-            "reference (barenblatt initial data with a power-law energy)"
+            "reference (barenblatt initial data with a power-law energy), and the "
+            "barenblatt initial density is built in 1d only; this config starts "
+            f"from a {type(dens).__name__} in d = {cfg.kernel_spec().d} with a {model.kind} energy"
         )
     eps_list = list(cfg.sweep.get("eps") or [cfg.kernel["eps"]])
     n_list = list(cfg.sweep.get("n_particles") or [cfg.n_particles])

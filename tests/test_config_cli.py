@@ -383,6 +383,24 @@ def test_cli_converge_requires_reference(tmp_path):
     assert main(["converge", "--config", str(path)]) == 2
 
 
+def test_converge_names_the_1d_only_reference_on_a_2d_start(tmp_path):
+    baren = {"kind": "barenblatt", "t0": 1.0}
+    cfg = particle_config(
+        tmp_path / "sweep2d",
+        kernel={"family": "gaussian", "eps": 0.3, "d": 2},
+        n_particles=16,
+        initial={"kind": "quantile", "density": {"kind": "product", "axes": [baren, baren]}},
+        sweep={"eps": [0.4, 0.3]},
+    )
+    with pytest.raises(ConfigError) as err:
+        converge(ExperimentConfig.from_dict(cfg))
+    msg = str(err.value)
+    assert msg.startswith("missing reference")
+    for frag in ("built in 1d only", "ProductDensity", "d = 2", "power energy"):
+        assert frag in msg
+    assert not (tmp_path / "sweep2d").exists()
+
+
 def test_cli_accept_single(capsys):
     assert main(["accept", "--criterion", "6"]) == 0
     out = capsys.readouterr().out

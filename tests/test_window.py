@@ -7,6 +7,8 @@ grid node instead, drops the pairs beyond R (the truncation the window
 applies), and reads F' only where the deposit is nonzero.
 """
 import tracemalloc
+from functools import reduce
+from math import prod
 
 import numpy as np
 import pytest
@@ -134,14 +136,15 @@ def test_windowed_error_term_matches_dense(case, family, width):
 def test_window_holds_exactly_the_grid_nodes_within_reach(case):
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
-    win, r2 = grid.window(pos, reach)
+    win, sq = grid.window(pos, reach)
+    lin, r2 = win.lin(), win.r2(sq)
     _, near = dense_pairs(pos, kernel, grid, reach)
     held = np.isfinite(r2)
-    rows = np.broadcast_to(np.arange(len(pos))[:, None], win.lin.shape)
+    rows = np.broadcast_to(np.arange(len(pos))[:, None], lin.shape)
     counted = np.zeros_like(near)
-    counted[rows[held], win.lin[held]] = True
+    counted[rows[held], lin[held]] = True
     assert np.array_equal(counted, near) and np.count_nonzero(held) == np.count_nonzero(near)
-    diff = (grid.nodes()[None] - pos[:, None])[rows[held], win.lin[held]]
+    diff = (grid.nodes()[None] - pos[:, None])[rows[held], lin[held]]
     assert np.array_equal(r2[held], np.sum(diff * diff, axis=-1))
     n, d, w = win.off.shape
     per_pair = [np.broadcast_to(win.off[:, k].reshape((n,) + (1,) * k + (w,) + (1,) * (d - k - 1)), (n,) + (w,) * d)
@@ -164,8 +167,8 @@ def test_error_term_carries_v_times_grad_phi_exactly(case, family):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "mollified_density", recording)
         error_term_z(ParticleEnsemble(pos), kernel, phi, grid)
-    win, r2 = grid.window(pos, kernel.padding_radius())
-    v = value_and_grad_factor(kernel, r2)[0]
+    win, sq = grid.window(pos, kernel.padding_radius())
+    v = value_and_grad_factor(kernel, win.r2(sq))[0]
     gp = phi.grad(pos).reshape(len(pos), -1)
     [dep] = deposits
     assert np.array_equal(dep.carried, np.stack([win.deposit(v * gp[:, k, None]) for k in range(kernel.d)], axis=-1))
@@ -181,27 +184,58 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
-def test_velocity_path_holds_at_most_two_pair_arrays(monkeypatch, family, n):
+def pairs_per_row(grid, pos, kernel):
+    """W^d, the pairs of one particle's window on grid."""
+    _, d, w = grid.window(pos, kernel.padding_radius())[0].off.shape
+    return w ** d
+
+
+def pair_nbytes(grid, pos, kernel):
+    """The bytes of one (N, W^d) float64 pair array over the particles' windows on grid."""
+    return len(pos) * pairs_per_row(grid, pos, kernel) * np.dtype(float).itemsize
+
+
+def blocks_of_an_eighth(monkeypatch, grid, pos, kernel):
+    """Row blocks of at most an eighth of the pairs each, so the block-sized arrays stay small beside the full-size ones."""
+    monkeypatch.setattr(energy, "BLOCK_PAIRS", min(energy.BLOCK_PAIRS, len(pos) * pairs_per_row(grid, pos, kernel) // 8))
+
+
+def gate_case(family, n):
     # particles in a box one kernel width across: the (N, W^d) pair arrays dwarf the grid
-    kernel, model = MollifierSpec(family, 2, 0.2), EnergyModel("power", 2.0)
-    pos = np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
+    kernel = MollifierSpec(family, 2, 0.2)
+    return kernel, np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
+
+
+GATE_CASES = pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
+
+
+@GATE_CASES
+def test_window_alone_holds_less_than_one_pair_array(family, n):
+    # the window keeps per-axis (N, d, W) arrays only; every (rows, W^d) array is formed per row block
+    kernel, pos = gate_case(family, n)
     grid = QuadratureSpec().grid_for(pos, kernel)
-    pairs = grid.window(pos, kernel.padding_radius())[1]
-    monkeypatch.setattr(energy, "BLOCK_PAIRS", min(energy.BLOCK_PAIRS, pairs.size // 8))
+    peak = traced_peak(lambda: grid.window(pos, kernel.padding_radius()))
+    assert peak <= 1.0 * pair_nbytes(grid, pos, kernel)
+
+
+@GATE_CASES
+def test_velocity_path_holds_at_most_two_pair_arrays(monkeypatch, family, n):
+    kernel, pos = gate_case(family, n)
+    model = EnergyModel("power", 2.0)
+    grid = QuadratureSpec().grid_for(pos, kernel)
+    blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: velocity_on_grid(mollified_density(pos, kernel, grid), model))
-    assert peak <= 2.5 * pairs.nbytes
+    assert peak <= 2.0 * pair_nbytes(grid, pos, kernel)
 
 
-@pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 400)])
+@GATE_CASES
 def test_error_term_deposit_holds_at_most_two_pair_arrays(monkeypatch, family, n):
-    kernel, phi = MollifierSpec(family, 2, 0.2), TestFunction("poly_bump", np.full(2, 0.05), 0.3)
-    pos = np.random.default_rng(0).uniform(-0.1, 0.1, size=(n, 2))
+    kernel, pos = gate_case(family, n)
+    phi = TestFunction("poly_bump", np.full(2, 0.05), 0.3)
     grid = error_term_grid(pos, kernel, phi, QuadratureSpec())
-    pairs = grid.window(pos, kernel.padding_radius())[1]
-    monkeypatch.setattr(energy, "BLOCK_PAIRS", min(energy.BLOCK_PAIRS, pairs.size // 8))
+    blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: error_term_z(ParticleEnsemble(pos), kernel, phi, grid))
-    assert peak <= 2.5 * pairs.nbytes
+    assert peak <= 2.0 * pair_nbytes(grid, pos, kernel)
 
 
 def blocked_run(monkeypatch, block_pairs, pos, kernel, model, grid, carry):
@@ -216,12 +250,52 @@ def test_row_blocks_give_the_bits_of_one_block(case, rows):
     # every row block is deposited onto the sums so far in row order, so the bits cannot depend on the blocks
     kernel, model, pos, grid, _ = case
     carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
-    per_row = grid.window(pos, kernel.padding_radius())[1].shape[1]
+    per_row = pairs_per_row(grid, pos, kernel)
     with pytest.MonkeyPatch.context() as mp:
         whole = blocked_run(mp, len(pos) * per_row, pos, kernel, model, grid, carry)
         for block_pairs in (1, rows * per_row):
             for got, want in zip(blocked_run(mp, block_pairs, pos, kernel, model, grid, carry), whole):
                 assert np.array_equal(got, want)
+
+
+def full_size_pairs(grid, pos, reach):
+    """Flat lin and cut r2, (N, W^d) each, built whole as ``Grid.window`` built them before it went per row block."""
+    n, d = pos.shape
+    c = int(np.ceil(reach / grid.spacing))
+    idx = np.floor((pos - grid.origin) / grid.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
+    off = grid.origin[:, None] + grid.spacing * idx - pos[:, :, None]
+    shape = np.asarray(grid.shape)[:, None]
+    sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)
+    strides = np.array([prod(grid.shape[k + 1:]) for k in range(d)])
+
+    def box(a):
+        return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
+
+    lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
+    r2 = reduce(np.add, box(sq)).reshape(n, -1)
+    r2[r2 > reach * reach] = np.inf
+    return lin, r2
+
+
+@settings(max_examples=100)
+@given(cases(grid_kinds=("slack", "pinned")), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
+def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
+    kernel, _, pos, grid, _ = case
+    reach = kernel.padding_radius()
+    want_lin, want_r2 = full_size_pairs(grid, pos, reach)
+    per_row = pairs_per_row(grid, pos, kernel)
+    block_pairs = {"one row": 1, "k rows": k * per_row, "all rows": len(pos) * per_row}[size]
+    win, sq = grid.window(pos, reach)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "BLOCK_PAIRS", block_pairs)
+        blocks = energy.row_blocks(win)
+    assert np.array_equal(np.concatenate([np.arange(len(pos))[rows] for rows in blocks]), np.arange(len(pos)))
+    for rows in blocks:
+        lin, r2 = win.lin(rows), win.r2(sq, rows)
+        assert lin.shape == r2.shape == want_lin[rows].shape
+        assert np.array_equal(lin, want_lin[rows]) and np.array_equal(r2, want_r2[rows])
+        if kernel.d == 1:  # one box axis to sum: views of the per-axis arrays, no new pair array
+            assert np.shares_memory(lin, win.at) and np.shares_memory(r2, sq)
 
 
 def value_and_grad_factor_with_v_over_r2(spec, r2):
