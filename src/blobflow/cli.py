@@ -16,6 +16,8 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .runner import compare_trajectories, converge, diagnose, emit_reference, execute
 
+REFERENCE_OPTIONS = ("m", "t0", "t", "mass", "sigma2", "spacing")
+
 
 def _load_config(path, solver=None) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(path)
@@ -46,16 +48,7 @@ def _cmd_compare(args):
 
 
 def _cmd_reference(args):
-    emit_reference(
-        args.kind,
-        args.out,
-        m=args.m,
-        t0=args.t0,
-        t=args.t,
-        mass=args.mass,
-        sigma2=args.sigma2,
-        spacing=args.spacing,
-    )
+    emit_reference(args.kind, args.out, **{k: v for k, v in vars(args).items() if k in REFERENCE_OPTIONS})
     print(f"wrote {args.out}")
     return 0
 
@@ -110,12 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reference", help="sample a reference profile to CSV")
     p.add_argument("--kind", required=True, choices=["barenblatt", "heat"])
     p.add_argument("--out", required=True)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--spacing", type=float, default=0.01)
+    for name in REFERENCE_OPTIONS:  # an option left out takes emit_reference's default
+        p.add_argument(f"--{name}", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_reference)
 
     p = sub.add_parser("converge", help="eps/N sweep against the analytic reference")

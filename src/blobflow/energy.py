@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnergyDomainError
-from .grids import Grid, GridField, QuadratureSpec, Window, lattice_nodes
+from .grids import Grid, GridField, QuadratureSpec, lattice_nodes
 from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
@@ -92,34 +92,18 @@ class EnergyModel:
         return x
 
 
-# The most pairs in one block of particle rows.  The window's pairs are
-# formed, the kernel evaluated and the velocity gathered one block at a
-# time, so the factors ``g`` are the one full-size pair array.  2**16 pairs
-# is 0.5 MB of float64, and every 1d workload fits in one block.
-BLOCK_PAIRS = 1 << 16
-
-
-def row_blocks(win: Window):
-    """Consecutive slices of the window's particle rows, of at most BLOCK_PAIRS pairs each (one row at least), in order."""
-    n, d, w = win.off.shape
-    step = max(1, BLOCK_PAIRS // w ** d)
-    return [slice(a, a + step) for a in range(0, n, step)]
-
-
 @dataclass(frozen=True)
 class Deposit:
-    """One state's V_eps * rho^N on a grid, with the window and the gradient factors it came from.
+    """One state's V_eps * rho^N on a grid, with the window's row blocks and the gradient factors they gave.
 
     The energy reads ``density``, the velocity gathers F'(density) back
-    through ``win`` and ``g``, and the error term reads ``carried``.  ``g``
-    is the one full-size pair array kept: the V_eps pair values are dead
-    once deposited, and each row block's g_eps lives in the buffer its r2
-    was formed in.
+    through ``pairs``, and the error term reads ``carried``.  The g_eps are
+    the one full-size pair array kept: the V_eps pair values are dead once
+    deposited, and each block's g_eps lives in the buffer its r2 was formed in.
     """
 
     grid: Grid
-    win: Window
-    g: tuple  # per row block (``row_blocks``), (rows, W^d) g_eps(|node - x|^2), grad V_eps(y) = y g_eps(|y|^2)
+    pairs: tuple  # per row block (``Window.blocks``), (block window, (rows, W^d) g_eps(|node - x|^2)); grad V_eps(y) = y g_eps(|y|^2)
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
@@ -128,21 +112,19 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
-    (``Deposit.carried``).  The particles are evaluated in row blocks
-    (``row_blocks``): each block's r2 is formed from the window's squared
-    offsets and g_eps written over it, and the block's V_eps is deposited
-    onto the sums so far and let go.
+    (``Deposit.carried``).  The particles are evaluated in the window's row
+    blocks: each block's g_eps is written over the r2 it forms, and its
+    V_eps is deposited onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    win, sq = grid.window(pos, kernel.padding_radius())
     cols = () if carry is None else carry.T
-    density, carried, g = None, [None] * len(cols), []
-    for rows in row_blocks(win):
-        v, g_rows = value_and_grad_factor(kernel, win.r2(sq, rows))
-        g.append(g_rows)
-        carried = [win.deposit(v * c[rows, None], rows, acc) for c, acc in zip(cols, carried)]
-        density = win.deposit(v, rows, density)
-    return Deposit(grid, win, tuple(g), density / len(pos), None if carry is None else np.stack(carried, axis=-1))
+    density, carried, pairs = None, [None] * len(cols), []
+    for rows, blk in grid.window(pos, kernel.padding_radius()).blocks():
+        v, g = value_and_grad_factor(kernel, blk.r2())
+        pairs.append((blk, g))
+        carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
+        density = blk.deposit(v, density)
+    return Deposit(grid, tuple(pairs), density / len(pos), None if carry is None else np.stack(carried, axis=-1))
 
 
 def regularized_energy(

@@ -185,15 +185,12 @@ def sobolev_seminorm_m2(field: GridField, m: float) -> float:
 
 
 def _neighbours_zero(zero: np.ndarray, axis: int) -> np.ndarray:
-    before = np.roll(zero, 1, axis=axis)
-    after = np.roll(zero, -1, axis=axis)
-    idx_lo = [slice(None)] * zero.ndim
-    idx_hi = [slice(None)] * zero.ndim
-    idx_lo[axis] = 0
-    idx_hi[axis] = -1
-    before[tuple(idx_lo)] = True
-    after[tuple(idx_hi)] = True
-    return before & after
+    """True where both neighbours along axis are zero; beyond the grid's edge counts as zero."""
+    pad = [(0, 0)] * zero.ndim
+    pad[axis] = (1, 1)
+    padded = np.pad(zero, pad, constant_values=True)
+    lead = (slice(None),) * axis
+    return padded[lead + (slice(None, -2),)] & padded[lead + (slice(2, None),)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import prod
 from pathlib import Path
@@ -65,22 +65,17 @@ class Grid:
             per_axis.append(w)
         return reduce(np.multiply.outer, per_axis).ravel()
 
-    def window(self, points: np.ndarray, reach: float) -> tuple:
-        """(Window, sq): each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
-
-        sq (N, d, W) is each node-minus-point offset squared, inf for a node off
-        the grid on that axis; ``Window.r2`` sums row blocks of it.  The window
-        does not keep sq, so it lives only as long as its caller needs it.
-        """
+    def window(self, points: np.ndarray, reach: float) -> Window:
+        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = pts.shape[1]
         c = int(np.ceil(reach / self.spacing))
         idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
         shape = np.asarray(self.shape)[:, None]
-        sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)  # a node off the grid on any axis is at inf
         strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
-        return Window(off, np.clip(idx, 0, shape - 1) * strides[:, None], prod(self.shape), reach), sq
+        at = np.clip(idx, 0, shape - 1) * strides[:, None]
+        return Window(off, at, (idx >= 0) & (idx < shape), prod(self.shape), reach)
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -91,64 +86,74 @@ class Grid:
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
 
+# The most pairs in one row block of a window.  The pairs are formed, the
+# kernel evaluated and the velocity gathered one block at a time, so the
+# factors g_eps are the one full-size pair array.  2**16 pairs is 0.5 MB of
+# float64, and every 1d workload fits in one block.
+BLOCK_PAIRS = 1 << 16
+
+
 @dataclass(frozen=True)
 class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
     point (its ``r2`` is finite).  A box may overhang the grid's edge; its
-    nodes there are clipped to an edge index.  Nothing is kept per pair:
-    ``lin`` and ``r2`` form a row block's pairs when it needs them.
+    nodes there are clipped to an edge index.  Only per-axis (N, d, W)
+    arrays are kept: ``lin`` and ``r2`` form the (N, W^d) pairs when they
+    are needed, and ``blocks`` cuts the window into row blocks so that no
+    more than BLOCK_PAIRS of them are formed at once.
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
     at: np.ndarray  # (N, d, W) clipped node index along each axis times that axis's row-major stride
+    inside: np.ndarray  # (N, d, W) True where the node is on the grid along that axis
     size: int  # G, the grid's node count
     reach: float  # R: a pair beyond it does not count
 
-    def lin(self, rows: slice = slice(None)) -> np.ndarray:
-        """(rows, W^d) flat indices into the grid's row-major nodes of the box nodes of the points in rows."""
-        return box_sum(self.at[rows])
+    def blocks(self) -> list:
+        """(rows, window of those rows) for consecutive row blocks of at most BLOCK_PAIRS pairs each (one row at least), in order."""
+        n, d, w = self.off.shape
+        step = max(1, BLOCK_PAIRS // w ** d)
+        return [(rows, replace(self, off=self.off[rows], at=self.at[rows], inside=self.inside[rows]))
+                for rows in (slice(a, a + step) for a in range(0, n, step))]
 
-    def r2(self, sq: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """(rows, W^d) squared distances from the points in rows to their box nodes, inf off the grid or beyond reach.
+    def lin(self) -> np.ndarray:
+        """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes."""
+        return box_sum(self.at)
 
-        sq is the array ``Grid.window`` returned with this window.  In 1d r2 is
-        a view of sq's rows, which the reach cut and a kernel evaluation on r2
-        write over: take each row's r2 once.
-        """
-        r2 = box_sum(sq[rows])
+    def r2(self) -> np.ndarray:
+        """(N, W^d) squared distances from each point to its box nodes, inf off the grid or beyond reach; a new array."""
+        r2 = box_sum(np.where(self.inside, self.off * self.off, np.inf))
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
 
-    def deposit(self, values: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Flat (G,) sums per node of the pair values of the points in rows (all by default).
+    def deposit(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat (G,) sums per node of the (N, W^d) pair values.
 
         With ``out``, the sums are added onto it in place.  Both ``bincount``
         and ``add.at`` add the pairs one by one in row order, so depositing
-        the rows block by block onto the first block's sums gives the bits
-        of one deposit of every row.
+        the row blocks one by one onto the first block's sums gives the
+        bits of one deposit of every row.
         """
-        lin = self.lin(rows).ravel()
+        lin = self.lin().ravel()
         if out is None:
             return np.bincount(lin, weights=values.ravel(), minlength=self.size)
         np.add.at(out, lin, values.ravel())
         return out
 
-    def contract(self, values: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Sums over each box of (node - point) times the pair values, for the points in rows (all by default).
+    def contract(self, values: np.ndarray) -> np.ndarray:
+        """(N, d) sums over each box of (node - point) times the (N, W^d) pair values.
 
         Axis k sums the values over the other box axes first, then weighs
-        them by ``off[:, k]``, so no (N, W^d, d) array is built.  The
-        (rows, d) sums land in ``out`` when it is given.
+        them by ``off[:, k]``, so no (N, W^d, d) array is built.
         """
-        off = self.off[rows]
-        n, d, w = off.shape
+        n, d, w = self.off.shape
         box = values.reshape((n,) + (w,) * d)
         others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
-        out = np.empty((n, d)) if out is None else out
+        out = np.empty((n, d))
         for k in range(d):
-            np.einsum("nw,nw->n", off[:, k], box.sum(axis=others(k)), out=out[:, k])
+            np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k)), out=out[:, k])
         return out
 
 

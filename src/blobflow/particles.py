@@ -14,9 +14,10 @@ evaluation on the box's squared distances gives both V_eps and the factor
 g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
 from V_eps (``energy.Deposit``), and each particle's velocity component k
 is the sum over its box of the node-minus-particle offset along k times
-g_eps F' w, in O(N W^d) time and memory however large the grid.  The pairs
-are formed, evaluated and gathered per block of particle rows, so g_eps
-is the one full-size (N, W^d) pair array.
+g_eps F' w, in O(N W^d) time and memory however large the grid.  The
+window cuts itself into row blocks (``Window.blocks``), and each block
+forms, evaluates and gathers its own pairs, so g_eps, kept per block in
+``Deposit.pairs``, is the one full-size (N, W^d) pair array.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import transport
-from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density, row_blocks
+from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
 from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
 from .grids import QuadratureSpec
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
@@ -96,13 +97,12 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     held = dep.density != 0.0
     wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
-    win = dep.win
-    vel = np.empty(win.off.shape[:2])
-    for rows, g in zip(row_blocks(win), dep.g, strict=True):
-        gw = wf[win.lin(rows)]
+    vel = []
+    for blk, g in dep.pairs:
+        gw = wf[blk.lin()]
         gw *= g
-        win.contract(gw, rows, vel[rows])
-    return vel
+        vel.append(blk.contract(gw))
+    return np.concatenate(vel)
 
 
 def velocity(

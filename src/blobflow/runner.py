@@ -347,19 +347,19 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return {"report": str(out_root / "report.csv"), "summary": summary, "rows": rows}
 
 
-def emit_reference(kind: str, out_path, **kw) -> None:
-    """Sample a reference profile onto a grid and persist it as CSV."""
+def emit_reference(kind: str, out_path, *, m=2.0, t0=1.0, t=0.0, mass=1.0, sigma2=1.0, spacing=0.01) -> None:
+    """Sample a reference profile onto a grid and persist it as CSV.
+
+    m, t0 and mass set the barenblatt profile, sigma2 the heat one; t is
+    the sampling time and spacing the grid's.
+    """
+    m, t0, t, mass, sigma2, spacing = map(float, (m, t0, t, mass, sigma2, spacing))
     if kind == "barenblatt":
-        prof = BarenblattProfile(
-            m=float(kw.get("m", 2.0)), d=1, mass=float(kw.get("mass", 1.0)), t0=float(kw.get("t0", 1.0))
-        )
-        fld = prof.sample_field(float(kw.get("t", 0.0)), float(kw.get("spacing", 0.01)))
+        fld = BarenblattProfile(m=m, d=1, mass=mass, t0=t0).sample_field(t, spacing)
     elif kind == "heat":
         from .reference import heat_solution
 
-        sigma2 = float(kw.get("sigma2", 1.0))
-        t = float(kw.get("t", 0.0))
-        grid = cover_points(np.zeros((1, 1)), 8.0 * np.sqrt(sigma2 + 2.0 * t), float(kw.get("spacing", 0.01)))
+        grid = cover_points(np.zeros((1, 1)), 8.0 * np.sqrt(sigma2 + 2.0 * t), spacing)
         fld = GridField(grid, heat_solution(t, grid.axes()[0], sigma2))
     else:
         raise ConfigError(f"unknown reference kind {kind!r}")

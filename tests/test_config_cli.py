@@ -13,7 +13,9 @@ from blobflow.errors import ConfigError, SizeLimitError
 from blobflow.grids import Grid, GridField, QuadratureSpec, write_csv, write_field_csv
 from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble, Trajectory
-from blobflow.runner import compare_trajectories, converge, diagnose, execute, read_trajectory_csv, write_trajectory_csv
+from blobflow.runner import (
+    compare_trajectories, converge, diagnose, emit_reference, execute, read_trajectory_csv, write_trajectory_csv,
+)
 
 
 def particle_config(out, **overrides):
@@ -300,6 +302,20 @@ def test_cli_reference_roundtrip(tmp_path):
     field = _read_field(out)
     assert field.mass() == pytest.approx(1.0, abs=1e-6)  # trapezoid kink error ~ h^2
     assert main(["reference", "--kind", "heat", "--sigma2", "1.0", "--t", "0.2", "--out", str(tmp_path / "h.csv")]) == 0
+
+
+def test_emit_reference_rejects_a_misspelt_keyword(tmp_path):
+    with pytest.raises(TypeError, match="spacng"):
+        emit_reference("heat", tmp_path / "h.csv", spacng=0.5)
+    assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["barenblatt", "heat"])
+def test_cli_reference_defaults_are_emit_references(tmp_path, kind):
+    assert main(["reference", "--kind", kind, "--out", str(tmp_path / "cli.csv")]) == 0
+    emit_reference(kind, tmp_path / "api.csv")
+    for suffix in ("", ".meta.json"):
+        assert (tmp_path / f"cli.csv{suffix}").read_bytes() == (tmp_path / f"api.csv{suffix}").read_bytes()
 
 
 def test_field_csv_roundtrip(tmp_path):

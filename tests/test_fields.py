@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from blobflow.energy import EnergyModel, mollified_density
 from blobflow.errors import CoverageError
 from blobflow.fields import (
     TestFunction,
+    _neighbours_zero,
     _time_residuals,
     error_term_grid,
     error_term_z,
@@ -157,6 +159,26 @@ def test_seminorm_clamps_degenerate_roots():
     prof = BarenblattProfile(m=1.5, d=1)
     val = sobolev_seminorm_m2(prof.sample_field(0.0, 0.01), 1.5)
     assert np.isfinite(val) and val > 0
+
+
+def neighbours_zero_by_roll(zero, axis):
+    """The two-roll form with edge patches that ``_neighbours_zero`` replaced: the oracle."""
+    before = np.roll(zero, 1, axis=axis)
+    after = np.roll(zero, -1, axis=axis)
+    idx_lo = [slice(None)] * zero.ndim
+    idx_hi = [slice(None)] * zero.ndim
+    idx_lo[axis] = 0
+    idx_hi[axis] = -1
+    before[tuple(idx_lo)] = True
+    after[tuple(idx_hi)] = True
+    return before & after
+
+
+@given(arrays(bool, array_shapes(min_dims=1, max_dims=2, max_side=7)))
+def test_neighbours_zero_matches_the_roll_form(zero):
+    for axis in range(zero.ndim):
+        got = _neighbours_zero(zero, axis)
+        assert got.dtype == bool and np.array_equal(got, neighbours_zero_by_roll(zero, axis))
 
 
 def test_weak_form_residual_stationary_single_particle():

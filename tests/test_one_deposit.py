@@ -3,7 +3,8 @@
 The energy, the velocity, the gridded fields and the error term all read
 the ``energy.Deposit`` that function builds, so a function anywhere else
 in the package that calls ``.window(`` is a second window->evaluate->deposit
-copy, and fails here.
+copy, and fails here.  The window cuts itself into row blocks
+(``Window.blocks``), so only ``grids`` knows the block size.
 """
 import ast
 from pathlib import Path
@@ -31,3 +32,14 @@ def _window_callers() -> set:
 
 def test_only_mollified_density_opens_a_window():
     assert _window_callers() == {("energy", "mollified_density")}
+
+
+def test_only_grids_reads_the_block_size():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            names |= {alias.name for alias in getattr(node, "names", ()) if isinstance(alias, ast.alias)}
+            if "BLOCK_PAIRS" in names:
+                readers.add(path.stem)
+    assert readers == {"grids"}
