@@ -2,8 +2,8 @@
 """Energy decay and dissipation bookkeeping along a minimizing-movement chain.
 
 Runs the proximal scheme on quantile initial data and prints the per-step
-energy, transport increment, and flow-interchange term; the same table
-lands in jko_steps.csv under --out.
+energy, transport increment, and flow-interchange term; every field of
+each step record lands in jko_steps.csv under --out.
 """
 import argparse
 

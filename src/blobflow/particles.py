@@ -241,8 +241,10 @@ def initial_sampler(kind: str, density, n: int) -> ParticleEnsemble:
     """Deterministic initial placement for a reference density.
 
     ``quantile`` places x_i = Q((i - 1/2)/N) through the density's quantile
-    function (1d), or the tensor product of per-axis quantiles for product
-    densities (N must then be a perfect square).  ``uniform_grid`` spreads
+    function ``cdf_inverse`` (1d), or the tensor product of per-axis
+    quantiles for product densities (N must then be a perfect square).  The
+    self-similar profile's quantiles are exact to round-off and keep no
+    table (``BarenblattProfile.cdf_inverse``).  ``uniform_grid`` spreads
     midpoints evenly over a compact support.
     """
     if kind not in ("quantile", "uniform_grid"):

@@ -9,6 +9,7 @@ round-trip repr), so identical configs reproduce byte-identical artifacts.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import traceback
@@ -26,9 +27,9 @@ from .fields import (
     TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
 )
 from .grids import GridField, cover_points, write_csv, write_field_csv
-from .jko import JkoChain, flow_interchange_diagnostic, run_jko
+from .jko import JkoChain, StepRecord, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, step_plan
-from .reference import BarenblattProfile
+from .reference import BarenblattProfile, heat_solution
 from .transport import w2
 
 ENERGY_SLACK = 1e-8
@@ -167,7 +168,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                 T=cfg.T,
                 quad=quad,
             )
-            names = ("n", "energy", "dw2", "entropy", "fi_term")
+            names = [f.name for f in dataclasses.fields(StepRecord)]
             cols = [[getattr(r, a) for r in chain.records] for a in names]
             write_csv(out / "jko_steps.csv", ",".join(names), cols)
             final = chain.states[-1].positions
@@ -347,20 +348,30 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     return {"report": str(out_root / "report.csv"), "summary": summary, "rows": rows}
 
 
-def emit_reference(kind: str, out_path, *, m=2.0, t0=1.0, t=0.0, mass=1.0, sigma2=1.0, spacing=0.01) -> None:
+# the options of each reference kind, with their defaults
+REFERENCE_DEFAULTS = {"barenblatt": {"m": 2.0, "t0": 1.0, "mass": 1.0}, "heat": {"sigma2": 1.0}}
+
+
+def emit_reference(kind: str, out_path, *, m=None, t0=None, mass=None, sigma2=None, t=0.0, spacing=0.01) -> None:
     """Sample a reference profile onto a grid and persist it as CSV.
 
-    m, t0 and mass set the barenblatt profile, sigma2 the heat one; t is
-    the sampling time and spacing the grid's.
+    m, t0 and mass set the barenblatt profile, sigma2 the heat one, each
+    defaulting as ``REFERENCE_DEFAULTS`` says; t is the sampling time and
+    spacing the grid's.  An option of the other kind raises ConfigError,
+    naming it and its kind, before anything is written.
     """
-    m, t0, t, mass, sigma2, spacing = map(float, (m, t0, t, mass, sigma2, spacing))
-    if kind == "barenblatt":
-        fld = BarenblattProfile(m=m, d=1, mass=mass, t0=t0).sample_field(t, spacing)
-    elif kind == "heat":
-        from .reference import heat_solution
-
-        grid = cover_points(np.zeros((1, 1)), 8.0 * np.sqrt(sigma2 + 2.0 * t), spacing)
-        fld = GridField(grid, heat_solution(t, grid.axes()[0], sigma2))
-    else:
+    given = {"m": m, "t0": t0, "mass": mass, "sigma2": sigma2}
+    if kind not in REFERENCE_DEFAULTS:
         raise ConfigError(f"unknown reference kind {kind!r}")
+    for owner, defaults in REFERENCE_DEFAULTS.items():
+        for name in defaults:
+            if owner != kind and given[name] is not None:
+                raise ConfigError(f"reference option {name!r} sets the {owner} profile; kind {kind!r} does not take it")
+    opts = {name: float(value if given[name] is None else given[name]) for name, value in REFERENCE_DEFAULTS[kind].items()}
+    t, spacing = float(t), float(spacing)
+    if kind == "barenblatt":
+        fld = BarenblattProfile(d=1, **opts).sample_field(t, spacing)
+    else:
+        grid = cover_points(np.zeros((1, 1)), 8.0 * np.sqrt(opts["sigma2"] + 2.0 * t), spacing)
+        fld = GridField(grid, heat_solution(t, grid.axes()[0], opts["sigma2"]))
     write_field_csv(fld, out_path)

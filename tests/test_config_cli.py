@@ -142,7 +142,7 @@ def test_execute_jko_artifacts(tmp_path):
     result = execute(ExperimentConfig.from_dict(cfg))
     assert result.ok
     steps = (tmp_path / "j" / "jko_steps.csv").read_text().splitlines()
-    assert steps[0] == "n,energy,dw2,entropy,fi_term"
+    assert steps[0] == "n,energy_prev,energy,dw2,entropy,fi_term,mass_term,inner_iterations,grad_sup"
     assert len(steps) == 6
     assert (tmp_path / "j" / "final_particles.csv").exists()
 
@@ -308,6 +308,17 @@ def test_emit_reference_rejects_a_misspelt_keyword(tmp_path):
     with pytest.raises(TypeError, match="spacng"):
         emit_reference("heat", tmp_path / "h.csv", spacng=0.5)
     assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,option,owner", [("heat", ["--m", "3"], "barenblatt"), ("barenblatt", ["--sigma2", "9"], "heat")]
+)
+def test_cli_reference_rejects_the_other_kinds_option(tmp_path, capsys, kind, option, owner):
+    out = tmp_path / "ref.csv"
+    assert main(["reference", "--kind", kind, *option, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(option[0].lstrip("-")) in err and owner in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["barenblatt", "heat"])

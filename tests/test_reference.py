@@ -73,6 +73,40 @@ def test_profile_solves_local_equation_on_grid():
     assert np.max(np.abs(lhs - rhs)[inside]) <= 2e-3
 
 
+QUANTILE_TIMES = (0.0, 0.3, 2.0)
+
+
+@pytest.mark.parametrize("t", QUANTILE_TIMES)
+def test_quantiles_match_the_m2_closed_form(t):
+    # at m = 2 the half-mass in phi is (3 sin(phi) - sin(phi)^3) / 2, solved by x = 2 R sin(arcsin(2q - 1) / 3)
+    prof = BarenblattProfile(m=2.0, d=1, t0=0.7)
+    r = prof.support_radius(t)
+    for n in (7, 100, 400, 1000, 4096):
+        q = (np.arange(n) + 0.5) / n
+        want = 2.0 * r * np.sin(np.arcsin(2.0 * q - 1.0) / 3.0)
+        assert np.max(np.abs(prof.cdf_inverse(q, t) - want)) <= 1e-14 * r
+    assert np.array_equal(prof.cdf_inverse(np.array([0.0, 0.5, 1.0]), t), [-r, 0.0, r])
+
+
+@pytest.mark.parametrize("t", QUANTILE_TIMES)
+@pytest.mark.parametrize("m", [1.2, 1.5, 3.0, 4.0])
+def test_quantiles_invert_an_independent_cdf(m, t):
+    prof = BarenblattProfile(m=m, d=1, t0=0.7)
+    r = prof.support_radius(t)
+    q = (np.arange(400) + 0.5) / 400
+    x = prof.cdf_inverse(q, t)
+    assert np.all(np.diff(x) > 0)
+    upper = np.random.default_rng(0).uniform(0.5, 1.0, 200)  # 1 - q is exact for these
+    assert np.array_equal(prof.cdf_inverse(1.0 - upper, t), -prof.cdf_inverse(upper, t))
+    # the profile is (r - y)^k (r + y)^k up to a constant; QAWS takes the (y + r)^k end singularity exactly
+    k = 1.0 / (m - 1.0)
+    opts = dict(weight="alg", epsabs=1e-15, epsrel=1e-13, limit=200)
+    total = integrate.quad(lambda y: 1.0, -r, r, wvar=(k, k), **opts)[0]
+    for qi, xi in zip(q[::9], x[::9]):
+        below = integrate.quad(lambda y: (r - y) ** k, -r, xi, wvar=(k, 0.0), **opts)[0]
+        assert abs(below / total - qi) <= 1e-12
+
+
 def test_heat_solution():
     x = np.linspace(-5, 5, 101)
     np.testing.assert_allclose(

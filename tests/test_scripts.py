@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args, artifact, header",
     [
         ("jko_energy_decay.py", ["--steps", "5", "--n-particles", "16"], "jko_steps.csv",
-         "n,energy,dw2,entropy,fi_term"),
+         "n,energy_prev,energy,dw2,entropy,fi_term,mass_term,inner_iterations,grad_sup"),
         ("eps_convergence.py", ["--eps", "0.4", "0.2", "--n-particles", "32", "--horizon", "0.01"], "report.csv",
          "eps,n,step,metric,value"),
     ],
