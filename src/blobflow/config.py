@@ -100,14 +100,15 @@ class ExperimentConfig:
             ]
         if not (isinstance(self.n_particles, int) and self.n_particles >= 1):
             errors.append(f"n_particles: need a positive integer, got {self.n_particles!r}")
-        if not self.T > 0:
+        horizon_ok = build("T", lambda: self.T > 0)
+        if horizon_ok is False:
             errors.append(f"T: horizon must be positive, got {self.T}")
         if self.solver != "jko":
             if self.integrator not in INTEGRATORS:
                 errors.append(f"integrator: choose from {INTEGRATORS}, got {self.integrator!r}")
             if not (isinstance(self.record_every, int) and self.record_every >= 1):
                 errors.append(f"record_every: need a positive integer, got {self.record_every!r}")
-            elif self.solver == "particle" and self.T > 0 and kernel is not None and model is not None:
+            elif self.solver == "particle" and horizon_ok and kernel is not None and model is not None:
                 build("steps", lambda: step_plan(self.T, self.dt, self.record_every, kernel, model))
         else:
             if kernel is not None and kernel.d != 1:

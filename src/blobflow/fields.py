@@ -21,7 +21,7 @@ import numpy as np
 from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
 from .grids import Grid, GridField, QuadratureSpec
-from .kernels import MollifierSpec, kernel_moments, unit_m1
+from .kernels import MollifierSpec, kernel_moments
 from .particles import ParticleEnsemble, Trajectory, velocity
 
 CLAMP = 1e-14  # values below this are treated as exact zeros before powering
@@ -90,8 +90,7 @@ class TestFunction:
             g = -np.exp(-0.5 * r2) / self.width
         else:
             g = -6.0 * np.maximum(1.0 - r2, 0.0) ** 2 / self.width
-        out = u * g[..., None]
-        return out[..., 0] if self.d == 1 else out
+        return u * g[..., None]
 
     def sup_grad(self) -> float:
         if self.family == "gaussian_bump":
@@ -115,7 +114,7 @@ class TestFunction:
 class ErrorTermReport:
     field: np.ndarray  # grid.shape + (d,) components of z
     l1_norm: float
-    l1_bound: float  # eps * ||D^2 phi|| * m1(V_1)
+    l1_bound: float  # ||D^2 phi|| * m1(V_eps) = eps ||D^2 phi|| m1(V_1)
     pointwise_ok: bool  # |z| <= 2 ||grad phi|| v at every node
     grid: Grid
 
@@ -141,17 +140,15 @@ def error_term_z(
     """Commutator error z = V_eps*(rho grad phi) - (grad phi) V_eps*rho."""
     if not grid.covers(ens.positions, margin=kernel.padding_radius()):
         raise CoverageError("grid does not cover the ensemble padded by the kernel support")
-    gp_part = phi.grad(ens.positions)  # (N,) or (N, d)
-    gp_node = phi.grad(grid.nodes())  # (G,) or (G, d)
-    if ens.d == 1:
-        gp_part = gp_part[:, None]
-        gp_node = gp_node[:, None]
+    gp_part = phi.grad(ens.positions)  # (N, d)
+    gp_node = phi.grad(grid.nodes())  # (G, d)
     dep = mollified_density(ens.positions, kernel, grid, carry=gp_part)  # carried: N V_eps * (rho grad phi)
     z = dep.carried / ens.n - dep.density[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
     l1 = float(np.dot(grid.trapezoid_weights(), znorm))
-    bound = kernel.eps * phi.sup_hess() * unit_m1(kernel)
-    ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * dep.density + 1e-12 * kernel_moments(kernel).sup_v))
+    mom = kernel_moments(kernel)
+    bound = phi.sup_hess() * mom.m1
+    ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * dep.density + 1e-12 * mom.sup_v))
     return ErrorTermReport(
         field=z.reshape(grid.shape + (ens.d,)),
         l1_norm=l1,
@@ -215,10 +212,7 @@ def weak_form_residual(
     phi0 = float(np.mean(phi.value(traj.snapshots[0][1].positions)))
     for k, (_, ens) in enumerate(traj.snapshots):
         vel = velocity(ens, kernel, model, quad)
-        gp = phi.grad(ens.positions)
-        if ens.d == 1:
-            gp = gp[:, None]
-        pairing[k] = float(np.mean(np.sum(gp * vel, axis=1)))
+        pairing[k] = float(np.mean(np.sum(phi.grad(ens.positions) * vel, axis=1)))
         lhs[k] = float(np.mean(phi.value(ens.positions))) - phi0
     return _time_residuals(lhs, pairing, times)
 
@@ -239,7 +233,6 @@ def local_weak_form_residual(
     nodes = grid.nodes()
     phiv = phi.value(nodes).reshape(grid.shape)
     gp = phi.grad(nodes)
-    gp = gp[:, None] if grid.d == 1 else gp
     gp_comps = [gp[:, a].reshape(grid.shape) for a in range(grid.d)]
     spatial = np.empty(times.size)
     lhs = np.empty(times.size)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +231,9 @@ class QuadratureSpec:
     domain: tuple | None = None
 
     def __post_init__(self):
+        h = self.h_over_eps
+        if h is not None and not (isinstance(h, (int, float)) and 0 < h < inf):
+            raise ValueError(f"h_over_eps must be a positive finite number, got {h!r}")
         if self.domain is not None:
             dom = np.asarray(self.domain, dtype=float)
             if dom.ndim != 2 or dom.shape[1] != 2 or np.any(dom[:, 1] <= dom[:, 0]):

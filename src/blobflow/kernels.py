@@ -13,8 +13,8 @@ A smoothing kernel of width ``eps`` is generated from a unit profile by
 Both profiles are nonnegative, even, mass one, with finite second moment
 and integrable gradient.  Scalar moments of the unit profile are closed
 forms (``UNIT_MOMENTS``); moments of ``V_eps`` follow from the exact
-scaling laws (``m2`` scales like ``eps^2``, sup norms like ``eps^{-d}`` and
-``eps^{-d-2}``).
+scaling laws (``m1`` and ``m2`` scale like ``eps`` and ``eps^2``, sup norms
+like ``eps^{-d}`` and ``eps^{-d-2}``).
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ class MollifierSpec:
             raise ValueError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         if type(self.d) is not int or self.d not in (1, 2):
             raise ValueError(f"dimension must be the integer 1 or 2, got {self.d!r}")
-        if not self.eps > 0:
-            raise ValueError(f"kernel width must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"kernel width must be positive and finite, got {self.eps}")
 
     def padding_radius(self) -> float:
         """Radius beyond which the kernel is numerically negligible.
@@ -66,6 +66,7 @@ class KernelMoments:
     """Scalar norms and moments of a scaled kernel V_eps."""
 
     mass: float
+    m1: float
     m2: float
     sup_v: float
     sup_d2v: float
@@ -102,25 +103,16 @@ def _unit_sup_hessian(family: str, d: int) -> float:
 # scaled evaluation
 
 def kernel_moments(spec: MollifierSpec) -> KernelMoments:
-    """Mass, second moment, sup norms and the gradient L1 norm of V_eps."""
-    mass, _, m2_unit, l1g_unit = UNIT_MOMENTS[spec.family, spec.d]
+    """Mass, first and second moments, sup norms and the gradient L1 norm of V_eps."""
+    mass, m1_unit, m2_unit, l1g_unit = UNIT_MOMENTS[spec.family, spec.d]
     return KernelMoments(
         mass=mass,
+        m1=spec.eps * m1_unit,
         m2=spec.eps ** 2 * m2_unit,
         sup_v=spec.eps ** (-spec.d) * _unit_sup(spec.family, spec.d),
         sup_d2v=spec.eps ** (-spec.d - 2) * _unit_sup_hessian(spec.family, spec.d),
         l1_grad_v=l1g_unit / spec.eps,
     )
-
-
-def unit_m1(spec: MollifierSpec) -> float:
-    """First absolute moment of the unit profile V_1."""
-    return UNIT_MOMENTS[spec.family, spec.d][1]
-
-
-def unit_m2(spec: MollifierSpec) -> float:
-    """Second moment of the unit profile V_1."""
-    return UNIT_MOMENTS[spec.family, spec.d][2]
 
 
 def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:

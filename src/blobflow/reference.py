@@ -21,7 +21,7 @@ from .energy import EnergyModel, regularized_energy
 from .errors import ConvergenceError
 from .grids import GridField, cover_points
 from .jko import alpha_for_dim, moment_interpolation_constant
-from .kernels import KernelMoments, MollifierSpec, kernel_moments, unit_m2
+from .kernels import KernelMoments, MollifierSpec, kernel_moments
 from .transport import m2 as ensemble_m2
 
 
@@ -199,8 +199,8 @@ class BarenblattProfile:
             u = np.clip(u - step, 0.0, 0.5 * np.pi)
         return np.sign(2.0 * q - 1.0) * self.support_radius(t) * np.cos(u)
 
-    def support(self, t: float = 0.0):
-        r = self.support_radius(t)
+    def support(self):
+        r = self.support_radius()
         return -r, r
 
     def quantile_ensemble(self, n: int, t: float = 0.0):
@@ -210,14 +210,13 @@ class BarenblattProfile:
         return ParticleEnsemble(self.cdf_inverse(q, t)[:, None], time=max(t, 0.0))
 
 
-def heat_solution(t: float, x, sigma2: float, d: int = 1):
-    """Heat flow of a centred gaussian: variance sigma2 + 2t per axis."""
+def heat_solution(t: float, x, sigma2: float):
+    """1d heat flow of a centred gaussian: variance sigma2 + 2t."""
     if t < 0:
         raise ValueError("heat flow runs forward in time")
     var = sigma2 + 2.0 * t
     x = np.asarray(x, dtype=float)
-    r2 = x * x if d == 1 else np.sum(x * x, axis=-1)
-    return np.exp(-0.5 * r2 / var) / (2.0 * np.pi * var) ** (d / 2.0)
+    return np.exp(-0.5 * (x * x) / var) / (2.0 * np.pi * var) ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +345,6 @@ def lower_bound_check(rho, kernel: MollifierSpec, model: EnergyModel) -> LowerBo
     else:
         mom2 = ensemble_m2(rho)
     lhs = regularized_energy(rho, kernel, model)
-    rhs = -c1 - 4.0 * c2 * c_da * (1.0 + kernel.eps ** 2 * unit_m2(kernel) + mom2) ** alpha
+    rhs = -c1 - 4.0 * c2 * c_da * (1.0 + kernel_moments(kernel).m2 + mom2) ** alpha
     ok = bool(lhs >= rhs - 1e-6 * (1.0 + abs(rhs)))
     return LowerBoundReport(lhs=lhs, rhs=rhs, ok=ok, alpha=alpha, c_dalpha=c_da)

@@ -257,7 +257,9 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
 
     Writes one run directory per sweep entry plus report.csv with tidy rows
     (eps, n, step, metric, value) and summary.json with monotonicity flags
-    for each metric along the eps ladder.
+    for each metric along the eps ladder.  Both solvers' rungs are measured
+    the same way; only flow_interchange_sum, which needs a JKO chain's
+    records, is NaN on a particle rung.
     """
     if not cfg.sweep:
         raise ConfigError("converge needs a sweep section")
@@ -274,10 +276,11 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
     n_list = list(cfg.sweep.get("n_particles") or [cfg.n_particles])
     out_root = cfg.resolved_output_dir()
     out_root.mkdir(parents=True, exist_ok=True)
+    phi = TestFunction("gaussian_bump", np.zeros(1), max(1.0, dens.support_radius(cfg.T)))
+    quad = cfg.quadrature_spec()
 
-    jobs = [(eps, n) for eps in eps_list for n in n_list]
-
-    def one(job):
+    def rung(job):
+        """Run one sweep entry; (eps, n) and its {metric: value}."""
         eps, n = job
         sub = ExperimentConfig.from_dict(
             {
@@ -291,59 +294,45 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
         result = execute(sub)
         if result.manifest["status"] != "ok":
             raise RuntimeError(f"sweep run eps={eps} n={n} failed: {result.manifest['error']}")
-        return job, result
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = dict(pool.map(one, jobs))
-
-    rows = []
-    phi = TestFunction("gaussian_bump", np.zeros(1), max(1.0, dens.support_radius(cfg.T)))
-    step_label = cfg.tau if cfg.solver == "jko" else (cfg.dt if cfg.dt is not None else "auto")
-    quad = cfg.quadrature_spec()
-    for (eps, n), result in results.items():
-        kernel = cfg.kernel_spec().with_eps(eps)
-        w2_init, z_l1, fi = 0.0, float("nan"), float("nan")
-        if cfg.solver == "particle":
-            traj = result.trajectory
-            final, t_ref, energy_final = traj.final(), cfg.T, traj.diagnostics[-1]["energy"]
-            w2_init = w2(traj.snapshots[0][1], dens.quantile_ensemble(n, t=0.0))
-            zgrid = error_term_grid(final.positions, kernel, phi, quad)
-            z_l1 = error_term_z(final, kernel, phi, zgrid).l1_norm
+        traj, chain = result.trajectory, result.chain
+        if chain is None:
+            initial, final, t_ref = traj.snapshots[0][1], traj.final(), cfg.T
+            metrics = {"energy_final": traj.diagnostics[-1]["energy"], "flow_interchange_sum": float("nan")}
         else:
-            chain = result.chain
-            final, t_ref, energy_final = chain.states[-1].ensemble(), chain.horizon, chain.records[-1].energy
-            fi = flow_interchange_diagnostic(chain).sum_d
-        ref = dens.quantile_ensemble(n, t=t_ref)
-        w2_final = w2(final, ref)
+            initial, final, t_ref = chain.states[0].ensemble(), chain.states[-1].ensemble(), chain.horizon
+            metrics = {"energy_final": chain.records[-1].energy, "flow_interchange_sum": flow_interchange_diagnostic(chain).sum_d}
+        kernel = sub.kernel_spec()
         vfield = mollify_auto(final, kernel, quad)
         ref_dens = dens.density(t_ref, vfield.grid.axes()[0])
-        l1 = vfield.integrate(np.abs(vfield.values - ref_dens))
-        for metric, value in [
-            ("w2_final_vs_reference", w2_final),
-            ("l1_final_vs_reference", l1),
-            ("z_eps_l1", z_l1),
-            ("energy_final", energy_final),
-            ("flow_interchange_sum", fi),
-            ("w2_initial_vs_density", w2_init),
-        ]:
-            rows.append([float(eps), int(n), step_label, metric, float(value)])
+        return job, {
+            **metrics,
+            "w2_final_vs_reference": w2(final, dens.quantile_ensemble(n, t=t_ref)),
+            "l1_final_vs_reference": vfield.integrate(np.abs(vfield.values - ref_dens)),
+            "z_eps_l1": error_term_z(final, kernel, phi, error_term_grid(final.positions, kernel, phi, quad)).l1_norm,
+            "w2_initial_vs_density": w2(initial, dens.quantile_ensemble(n)),
+        }
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        table = dict(pool.map(rung, [(eps, n) for eps in eps_list for n in n_list]))
+
+    step_label = cfg.tau if cfg.solver == "jko" else (cfg.dt if cfg.dt is not None else "auto")
+    rows = [[float(eps), int(n), step_label, metric, float(value)] for (eps, n), row in table.items() for metric, value in row.items()]
     rows.sort(key=lambda r: (-r[0], r[1], r[3]))
     write_csv(out_root / "report.csv", "eps,n,step,metric,value", list(zip(*rows)))
 
-    summary = {"monotone_in_eps": {}, "monotone_in_n": {}, "eps": eps_list, "n_particles": n_list}
-
-    def _ladder(metric, fixed_key, fixed_val, axis_ix):
-        pts = [(r[axis_ix], r[4]) for r in rows if r[3] == metric and r[fixed_key] == fixed_val]
-        ordered = [v for _, v in sorted(pts, reverse=(axis_ix == 0))]
-        finite = [v for v in ordered if np.isfinite(v)]
+    def decreasing(metric, keys):
+        """Whether the finite values of metric strictly decrease along the given rungs."""
+        finite = [v for v in (table[k][metric] for k in keys) if np.isfinite(v)]
         return bool(len(finite) >= 2 and all(a > b for a, b in zip(finite, finite[1:])))
 
+    rungs = sorted(table)
+    summary = {"monotone_in_eps": {}, "monotone_in_n": {}, "eps": eps_list, "n_particles": n_list}
     for metric in ("w2_final_vs_reference", "l1_final_vs_reference", "z_eps_l1"):
         for n in n_list:
-            summary["monotone_in_eps"][f"{metric}_n{n}"] = _ladder(metric, 1, n, 0)
+            summary["monotone_in_eps"][f"{metric}_n{n}"] = decreasing(metric, [k for k in reversed(rungs) if k[1] == n])
     for metric in ("w2_final_vs_reference", "w2_initial_vs_density"):
         for eps in eps_list:
-            summary["monotone_in_n"][f"{metric}_eps{eps}"] = _ladder(metric, 0, eps, 1)
+            summary["monotone_in_n"][f"{metric}_eps{eps}"] = decreasing(metric, [k for k in rungs if k[0] == eps])
     (out_root / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return {"report": str(out_root / "report.csv"), "summary": summary, "rows": rows}
 

@@ -16,6 +16,7 @@ from blobflow.particles import ParticleEnsemble, Trajectory
 from blobflow.runner import (
     compare_trajectories, converge, diagnose, emit_reference, execute, read_trajectory_csv, write_trajectory_csv,
 )
+from blobflow.transport import w2
 
 
 def particle_config(out, **overrides):
@@ -91,6 +92,12 @@ def test_validation_rejects_unknown_keys_and_entropy_bump():
          "one-dimensional axis"),
         ({"quadrature": {"domain": [[3.0, -3.0], [0, 1]]}}, "lo < hi"),
         ({"quadrature": {"domain": [[-3.0, 3.0], [0, 1]]}}, "domain gives 2 axes, kernel d=1"),
+        ({"T": "x"}, "T:"),
+        ({"quadrature": {"h_over_eps": 0}}, "h_over_eps"),
+        ({"quadrature": {"h_over_eps": -0.25}}, "h_over_eps"),
+        ({"quadrature": {"h_over_eps": float("nan")}}, "h_over_eps"),
+        ({"quadrature": {"h_over_eps": "x"}}, "h_over_eps"),
+        ({"kernel": {"family": "gaussian", "eps": float("inf"), "d": 1}}, "finite"),
     ],
 )
 def test_validation_rejects_removed_and_misspelt_knobs(extra, key):
@@ -397,6 +404,19 @@ def test_cli_converge_jko(tmp_path):
     assert main(["converge", "--config", str(path)]) == 0
     report = (tmp_path / "jsweep" / "report.csv").read_text()
     assert "flow_interchange_sum" in report
+
+
+def test_converge_measures_a_jko_rung_from_its_chain(tmp_path):
+    # a uniform_grid start is not the density's quantile ensemble, so the rung's initial W2 is nonzero
+    start = {"kind": "uniform_grid", "density": {"kind": "barenblatt", "t0": 1.0}}
+    cfg = particle_config(tmp_path / "sweep", solver="jko", tau=1e-3, T=0.003, n_particles=16, initial=start, sweep={"eps": [0.2]})
+    cfg.pop("dt")
+    cfg.pop("record_every")
+    got = {metric: value for _, _, _, metric, value in converge(ExperimentConfig.from_dict(cfg))["rows"]}
+    rung = ExperimentConfig.from_dict({**cfg, "sweep": None, "output_dir": str(tmp_path / "rung")})
+    initial = execute(rung).chain.states[0].ensemble()
+    assert got["w2_initial_vs_density"] == w2(initial, rung.initial_density().quantile_ensemble(16)) > 0
+    assert np.isfinite(got["z_eps_l1"])
 
 
 def test_cli_converge_requires_reference(tmp_path):

@@ -19,7 +19,7 @@ from blobflow.fields import (
     weak_form_residual,
 )
 from blobflow.grids import Grid, GridField, QuadratureSpec
-from blobflow.kernels import MollifierSpec, kernel_moments, unit_m1, value_on_pairs
+from blobflow.kernels import MollifierSpec, kernel_moments, value_on_pairs
 from blobflow.particles import ParticleEnsemble, simulate, velocity_on_grid
 from blobflow.reference import BarenblattProfile
 
@@ -90,7 +90,7 @@ def test_error_term_bound_and_pointwise():
             kernel = MollifierSpec("gaussian", 1, eps)
             grid = _grid_about(ens.positions, kernel, phi)
             rep = error_term_z(ens, kernel, phi, grid)
-            assert rep.l1_norm <= eps * phi.sup_hess() * unit_m1(kernel) * (1 + 1e-6)
+            assert rep.l1_norm <= phi.sup_hess() * kernel_moments(kernel).m1 * (1 + 1e-6)
             assert rep.pointwise_ok
 
 
@@ -296,7 +296,7 @@ def test_weak_form_residual_matches_prefix_trapezoids():
     for _, ens in traj.snapshots:
         grid = QuadratureSpec().grid_for(ens.positions, kernel)
         vel = velocity_on_grid(mollified_density(ens.positions, kernel, grid), M2)
-        pairing.append(float(np.mean(np.sum(phi.grad(ens.positions)[:, None] * vel, axis=1))))
+        pairing.append(float(np.mean(np.sum(phi.grad(ens.positions) * vel, axis=1))))
         lhs.append(float(np.mean(phi.value(ens.positions))) - float(np.mean(phi.value(traj.snapshots[0][1].positions))))
     lhs = np.array(lhs)
     want = _prefix_trapezoid_residuals(lhs, np.array(pairing), traj.times())

@@ -12,8 +12,6 @@ from blobflow.kernels import (
     grad_on_pairs,
     kernel_moments,
     self_convolution,
-    unit_m1,
-    unit_m2,
     value_and_grad_factor,
     value_on_pairs,
 )
@@ -87,6 +85,7 @@ def test_moments_scaling_laws_exact():
     for family in ("gaussian", "bump"):
         base = kernel_moments(MollifierSpec(family, 1, 1.0))
         scaled = kernel_moments(MollifierSpec(family, 1, 0.5))
+        assert scaled.m1 == base.m1 * 0.5
         assert scaled.m2 == base.m2 * 0.25
         assert scaled.sup_v == base.sup_v * 2.0
         assert scaled.sup_d2v == base.sup_d2v * 8.0
@@ -97,7 +96,7 @@ def test_gaussian_unit_moments():
     assert kernel_moments(MollifierSpec("gaussian", 1, 1.0)).m2 == pytest.approx(1.0, abs=1e-10)
     assert kernel_moments(MollifierSpec("gaussian", 1, 0.5)).m2 == pytest.approx(0.25, abs=1e-10)
     assert kernel_moments(MollifierSpec("gaussian", 2, 1.0)).m2 == pytest.approx(2.0, abs=1e-9)
-    assert unit_m1(MollifierSpec("gaussian", 1, 1.0)) == pytest.approx(np.sqrt(2 / np.pi), abs=1e-10)
+    assert kernel_moments(MollifierSpec("gaussian", 1, 1.0)).m1 == pytest.approx(np.sqrt(2 / np.pi), abs=1e-10)
 
 
 def _radial_quad(profile, d, upper):
@@ -130,7 +129,7 @@ def test_bump_m2_against_riemann_sum():
     mom = kernel_moments(spec)
     assert mom.m2 == pytest.approx(riemann, abs=1e-9)
     assert mom.m2 == pytest.approx(1.0 / 9.0, abs=1e-10)  # closed form of the cubic bump
-    assert unit_m2(MollifierSpec("bump", 2, 1.0)) == pytest.approx(0.2, abs=1e-10)
+    assert kernel_moments(MollifierSpec("bump", 2, 1.0)).m2 == pytest.approx(0.2, abs=1e-10)
 
 
 def test_sup_hessian_matches_sampled_second_differences():
