@@ -41,6 +41,7 @@ class ExperimentConfig:
     quadrature: dict = dc_field(default_factory=dict)
     output_dir: str = "run"
     sweep: dict | None = None
+    _sample = (None, None)  # (the sections it was drawn from, as repr, the initial ensemble); not a config key
 
     # -- construction --------------------------------------------------------
 
@@ -126,6 +127,10 @@ class ExperimentConfig:
                         errors.append(f"sweep: unknown sweep key {key!r}")
                     elif not isinstance(self.sweep[key], list) or not self.sweep[key]:
                         errors.append(f"sweep: {key} must be a nonempty list")
+                    else:  # each value is one rung and names its run directory; name each repeat once
+                        vals = self.sweep[key]
+                        errors += [f"sweep: {key} lists {v!r} more than once"
+                                   for i, v in enumerate(vals) if v in vals[:i] and v not in vals[i + 1:]]
         if errors:
             raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(errors))
 
@@ -145,8 +150,17 @@ class ExperimentConfig:
         return build_density(spec, self.energy.get("m", ENERGY_DEFAULTS["m"]))
 
     def initial_ensemble(self):
-        sampler = {"kind": "quantile", **self.initial, "density": self.initial_density()}
-        return initial_sampler(n=self.n_particles, **sampler)
+        """The start the ``initial`` section places, sampled once: validation samples it and the run reuses it.
+
+        A sample is kept with the sections it was drawn from, as they read
+        then; a config whose ``initial``, ``n_particles`` or ``energy`` has
+        changed since samples afresh.
+        """
+        drawn_from = repr((self.initial, self.n_particles, self.energy))
+        if self._sample[0] != drawn_from:
+            sampler = {"kind": "quantile", **self.initial, "density": self.initial_density()}
+            self._sample = (drawn_from, initial_sampler(n=self.n_particles, **sampler))
+        return self._sample[1]
 
     def resolved_output_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)

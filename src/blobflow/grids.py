@@ -66,16 +66,25 @@ class Grid:
         return reduce(np.multiply.outer, per_axis).ravel()
 
     def window(self, points: np.ndarray, reach: float) -> Window:
-        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it."""
+        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
+
+        When every box lies on the grid, the node indices need no clip and
+        the window keeps no mask; a box that overhangs the grid's edge is
+        clipped to the edge and masked.  Clip and mask do nothing on the
+        grid, so both cases give the same pairs, bit for bit.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = pts.shape[1]
         c = int(np.ceil(reach / self.spacing))
-        idx = np.floor((pts - self.origin) / self.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
+        base = np.floor((pts - self.origin) / self.spacing).astype(int)
+        idx = base[:, :, None] + np.arange(-c, c + 2)
         off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
+        strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])[:, None]  # row-major
+        lo, hi = base.min(axis=0).tolist(), base.max(axis=0).tolist()
+        if all(c <= a and b + c + 1 < n for a, b, n in zip(lo, hi, self.shape)):  # every box lies on the grid
+            return Window(off, idx if d == 1 else idx * strides, None, prod(self.shape), reach)
         shape = np.asarray(self.shape)[:, None]
-        strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])  # row-major
-        at = np.clip(idx, 0, shape - 1) * strides[:, None]
-        return Window(off, at, (idx >= 0) & (idx < shape), prod(self.shape), reach)
+        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), prod(self.shape), reach)
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -98,16 +107,19 @@ class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
-    point (its ``r2`` is finite).  A box may overhang the grid's edge; its
-    nodes there are clipped to an edge index.  Only per-axis (N, d, W)
-    arrays are kept: ``lin`` and ``r2`` form the (N, W^d) pairs when they
-    are needed, and ``blocks`` cuts the window into row blocks so that no
-    more than BLOCK_PAIRS of them are formed at once.
+    point (its ``r2`` is finite).  Usually every box lies on the grid, and
+    the window keeps no mask (``inside`` is None).  When a box overhangs
+    the grid's edge, its nodes there are clipped to an edge index and
+    masked: ``inside`` marks the nodes on the grid, and ``r2`` is inf at
+    the others.  Only per-axis (N, d, W) arrays are kept: ``lin`` and
+    ``r2`` form the (N, W^d) pairs when they are needed, and ``blocks``
+    cuts the window into row blocks so that no more than BLOCK_PAIRS of
+    them are formed at once.
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
-    at: np.ndarray  # (N, d, W) clipped node index along each axis times that axis's row-major stride
-    inside: np.ndarray  # (N, d, W) True where the node is on the grid along that axis
+    at: np.ndarray  # (N, d, W) node index along each axis, clipped to the grid, times that axis's row-major stride
+    inside: np.ndarray | None  # (N, d, W) True where the node is on the grid along that axis; None when every box is
     size: int  # G, the grid's node count
     reach: float  # R: a pair beyond it does not count
 
@@ -115,7 +127,10 @@ class Window:
         """(rows, window of those rows) for consecutive row blocks of at most BLOCK_PAIRS pairs each (one row at least), in order."""
         n, d, w = self.off.shape
         step = max(1, BLOCK_PAIRS // w ** d)
-        return [(rows, replace(self, off=self.off[rows], at=self.at[rows], inside=self.inside[rows]))
+        if step >= n:
+            return [(slice(0, n), self)]
+        return [(rows, replace(self, off=self.off[rows], at=self.at[rows],
+                               inside=None if self.inside is None else self.inside[rows]))
                 for rows in (slice(a, a + step) for a in range(0, n, step))]
 
     def lin(self) -> np.ndarray:
@@ -124,7 +139,8 @@ class Window:
 
     def r2(self) -> np.ndarray:
         """(N, W^d) squared distances from each point to its box nodes, inf off the grid or beyond reach; a new array."""
-        r2 = box_sum(np.where(self.inside, self.off * self.off, np.inf))
+        sq = self.off * self.off
+        r2 = box_sum(sq if self.inside is None else np.where(self.inside, sq, np.inf))
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
 
@@ -152,8 +168,8 @@ class Window:
         box = values.reshape((n,) + (w,) * d)
         others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
         out = np.empty((n, d))
-        for k in range(d):
-            np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k)), out=out[:, k])
+        for k in range(d):  # in 1d there are no other axes, and the values go in as they are
+            np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k)) if d > 1 else values, out=out[:, k])
         return out
 
 

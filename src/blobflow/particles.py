@@ -9,7 +9,10 @@ velocity field
 evaluated by trapezoid quadrature on one shared grid per evaluation.  V_eps
 vanishes beyond its reach R (the bump support, the gaussian truncation), so
 each particle touches only the nodes within R, found in its box of
-W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  One kernel
+W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  When every box
+lies on the grid, the usual case, the box nodes are indexed as they are;
+a box that overhangs the grid's edge is clipped to it and masked, with
+the same bits either way.  One kernel
 evaluation on the box's squared distances gives both V_eps and the factor
 g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
 from V_eps (``energy.Deposit``), and each particle's velocity component k

@@ -13,6 +13,7 @@ from blobflow.errors import ConfigError, SizeLimitError
 from blobflow.grids import Grid, GridField, QuadratureSpec, write_csv, write_field_csv
 from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble, Trajectory
+from blobflow.reference import BarenblattProfile
 from blobflow.runner import (
     compare_trajectories, converge, diagnose, emit_reference, execute, read_trajectory_csv, write_trajectory_csv,
 )
@@ -152,6 +153,53 @@ def test_execute_jko_artifacts(tmp_path):
     assert steps[0] == "n,energy_prev,energy,dw2,entropy,fi_term,mass_term,inner_iterations,grad_sup"
     assert len(steps) == 6
     assert (tmp_path / "j" / "final_particles.csv").exists()
+
+
+def counting_quantiles(monkeypatch):
+    """The calls of BarenblattProfile.cdf_inverse from now on, in a list that grows as they happen."""
+    calls = []
+    cdf_inverse = BarenblattProfile.cdf_inverse
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return cdf_inverse(self, *args, **kwargs)
+
+    monkeypatch.setattr(BarenblattProfile, "cdf_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["particle", "jko"])
+def test_a_run_samples_its_start_once(tmp_path, monkeypatch, solver):
+    # validation samples the start, and execute reuses that sample
+    calls = counting_quantiles(monkeypatch)
+    raw = particle_config(tmp_path / "a") if solver == "particle" else jko_config(tmp_path / "a", T=0.003)
+    assert execute(ExperimentConfig.from_dict(raw)).ok
+    assert len(calls) == 1
+
+
+def test_a_config_changed_after_validation_samples_afresh(tmp_path, monkeypatch):
+    calls = counting_quantiles(monkeypatch)
+    cfg = ExperimentConfig.from_dict(particle_config(tmp_path / "a"))
+    changed = {
+        "replaced n_particles": dataclasses.replace(cfg, n_particles=12, output_dir=str(tmp_path / "b")),
+        "replaced initial": dataclasses.replace(
+            cfg, initial={"kind": "quantile", "density": {"kind": "barenblatt", "t0": 2.0}}, output_dir=str(tmp_path / "c")),
+    }
+    assert len(calls) == 1
+    for name, other in changed.items():
+        start = execute(other).trajectory.snapshots[0][1].positions
+        fresh = ExperimentConfig.from_dict({**other.to_dict(), "output_dir": str(tmp_path / "fresh")})
+        assert np.array_equal(start, fresh.initial_ensemble().positions), name
+    assert len(calls) == 1 + 2 * len(changed)
+    # in place too: an assigned field, or a nested key of a section
+    cfg.n_particles = 10
+    assert cfg.initial_ensemble().n == 10
+    cfg.initial["density"]["t0"] = 3.0
+    assert np.array_equal(
+        cfg.initial_ensemble().positions,
+        ExperimentConfig.from_dict({**cfg.to_dict(), "output_dir": "x"}).initial_ensemble().positions,
+    )
+    assert cfg.initial_density().t0 == 3.0 and len(calls) == 1 + 2 * len(changed) + 3
 
 
 @pytest.mark.parametrize("solver", ["particle", "jko"])
@@ -393,6 +441,20 @@ def test_cli_converge(tmp_path):
     # three sweep entries: three run directories plus one report
     for eps in (0.4, 0.3, 0.2):
         assert (tmp_path / "sweep" / f"eps_{eps}_n_32" / "manifest.json").exists()
+
+
+def test_cli_converge_refuses_a_repeated_sweep_value(tmp_path, capsys):
+    # two rungs of one value would run into one directory, at the same time with --threads 2
+    cfg = particle_config(tmp_path / "sweep", sweep={"eps": [0.4, 0.4, 0.2], "n_particles": [8, 16, 8]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["converge", "--config", str(path), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep: eps lists 0.4 more than once" in err and "sweep: n_particles lists 8 more than once" in err
+    assert not (tmp_path / "sweep").exists()
+    with pytest.raises(ConfigError) as err:  # a value is named once, however often it repeats
+        ExperimentConfig.from_dict(particle_config("x", sweep={"eps": [0.4, 0.2, 0.4, 0.4]}))
+    assert str(err.value).count("more than once") == 1
 
 
 def test_cli_converge_jko(tmp_path):

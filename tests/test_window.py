@@ -212,11 +212,12 @@ GATE_CASES = pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 40
 @GATE_CASES
 def test_window_alone_holds_less_than_one_pair_array(family, n):
     # the window keeps per-axis (N, d, W) arrays only; every (rows, W^d) array is formed per row block.
-    # Measured 0.15x (gaussian) and 0.51x (bump); 0.6x leaves 0.09x of headroom for numpy's temporaries.
+    # Both cases lie on the grid, so no mask is built: measured 0.12x (gaussian) and 0.40x (bump), from
+    # 0.15x and 0.51x with the mask; 0.5x leaves 0.10x of headroom for numpy's temporaries.
     kernel, pos = gate_case(family, n)
     grid = QuadratureSpec().grid_for(pos, kernel)
     peak = traced_peak(lambda: grid.window(pos, kernel.padding_radius()))
-    assert peak <= 0.6 * pair_nbytes(grid, pos, kernel)
+    assert peak <= 0.5 * pair_nbytes(grid, pos, kernel)
 
 
 @GATE_CASES
@@ -260,13 +261,15 @@ def test_row_blocks_give_the_bits_of_one_block(case, rows):
 
 
 def full_size_pairs(grid, pos, reach):
-    """Flat lin and cut r2, (N, W^d) each, built whole as ``Grid.window`` built them before it went per row block."""
+    """Flat lin and cut r2, (N, W^d) each, built whole as ``Grid.window`` built them before it went per row block,
+    clipping and masking every box; and whether every box lies on the grid (the mask is all True)."""
     n, d = pos.shape
     c = int(np.ceil(reach / grid.spacing))
     idx = np.floor((pos - grid.origin) / grid.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
     off = grid.origin[:, None] + grid.spacing * idx - pos[:, :, None]
     shape = np.asarray(grid.shape)[:, None]
-    sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)
+    inside = (idx >= 0) & (idx < shape)
+    sq = np.where(inside, off * off, np.inf)
     strides = np.array([prod(grid.shape[k + 1:]) for k in range(d)])
 
     def box(a):
@@ -275,29 +278,46 @@ def full_size_pairs(grid, pos, reach):
     lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
     r2 = reduce(np.add, box(sq)).reshape(n, -1)
     r2[r2 > reach * reach] = np.inf
-    return lin, r2
+    return lin, r2, bool(np.all(inside))
 
 
 @settings(max_examples=100)
-@given(cases(grid_kinds=("slack", "pinned")), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
+@given(cases(), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
 def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
+    # windows on the grid skip the clip and the mask; they must still give the clip-and-mask oracle's bits
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
-    want_lin, want_r2 = full_size_pairs(grid, pos, reach)
+    want_lin, want_r2, on_grid = full_size_pairs(grid, pos, reach)
     per_row = pairs_per_row(grid, pos, kernel)
     block_pairs = {"one row": 1, "k rows": k * per_row, "all rows": len(pos) * per_row}[size]
     win = grid.window(pos, reach)
+    assert (win.inside is None) == on_grid  # a mask exactly when some box overhangs the grid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "BLOCK_PAIRS", block_pairs)
         blocks = win.blocks()
     assert np.array_equal(np.concatenate([np.arange(len(pos))[rows] for rows, _ in blocks]), np.arange(len(pos)))
+    if size == "all rows":  # one block holds every row: it is the window itself
+        assert len(blocks) == 1 and blocks[0][1] is win
     for rows, blk in blocks:
         lin, r2 = blk.lin(), blk.r2()
         assert lin.shape == r2.shape == want_lin[rows].shape
         assert np.array_equal(lin, want_lin[rows]) and np.array_equal(r2, want_r2[rows])
-        assert not any(np.shares_memory(r2, a) for a in (win.off, win.at, win.inside))  # the caller owns r2
+        assert (blk.inside is None) == on_grid
+        assert not any(np.shares_memory(r2, a) for a in (win.off, win.at, win.inside) if a is not None)  # the caller owns r2
         if kernel.d == 1:  # one box axis to sum: lin is a view of the per-axis array, no new pair array
             assert np.shares_memory(lin, win.at)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_keeps_a_mask_only_when_a_box_overhangs_the_grid(d):
+    # reach 0.25 on spacing 0.1: boxes of W = 8 nodes, from 3 below a point's node to 4 above it
+    grid = grids.Grid(origin=np.zeros(d), spacing=0.1, shape=(21,) * d)
+    for x, on_grid in ((1.05, True), (0.25, False), (1.75, False)):  # nodes 7..14, -1..6, 14..21 of 0..20
+        pos = np.full((1, d), x)
+        win = grid.window(pos, 0.25)
+        want_lin, want_r2, want_on_grid = full_size_pairs(grid, pos, 0.25)
+        assert want_on_grid == on_grid and (win.inside is None) == on_grid
+        assert np.array_equal(win.lin(), want_lin) and np.array_equal(win.r2(), want_r2)
 
 
 def value_and_grad_factor_with_v_over_r2(spec, r2):
