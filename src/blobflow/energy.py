@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EnergyDomainError
 from .grids import Grid, GridField, QuadratureSpec, lattice_nodes
-from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
+from .kernels import MollifierSpec, axis_factors, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
 
@@ -94,16 +94,21 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class Deposit:
-    """One state's V_eps * rho^N on a grid, with the window's row blocks and the gradient factors they gave.
+    """One state's V_eps * rho^N on a grid, with what the velocity gathers through: each row block's boxes and gradient data.
 
     The energy reads ``density``, the velocity gathers F'(density) back
-    through ``pairs``, and the error term reads ``carried``.  The g_eps are
-    the one full-size pair array kept: the V_eps pair values are dead once
-    deposited, and each block's g_eps lives in the buffer its r2 was formed in.
+    through ``pairs``, and the error term reads ``carried``.  Each block
+    keeps its per-axis ``at`` and ``off`` (``Window``) and its gradient
+    data: for a separable kernel the per-axis factors (v, g) of
+    ``kernels.axis_factors``, (rows, d, W) each (v is None in 1d, where the
+    gather does not read it); for the bump the (rows, W^d)
+    g_eps, the one full-size pair array kept, in the buffer its r2 was
+    formed in.  The V_eps pair values are dead once deposited.
     """
 
     grid: Grid
-    pairs: tuple  # per row block (``Window.blocks``), (block window, (rows, W^d) g_eps(|node - x|^2)); grad V_eps(y) = y g_eps(|y|^2)
+    kernel: MollifierSpec
+    pairs: tuple  # per row block (``Window.blocks``), (at, off, per-axis (v, g) if kernel.separable else g_eps(|node - x|^2))
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
@@ -113,18 +118,26 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
     (``Deposit.carried``).  The particles are evaluated in the window's row
-    blocks: each block's g_eps is written over the r2 it forms, and its
-    V_eps is deposited onto the sums so far and let go.
+    blocks.  A separable kernel is evaluated once per axis on the block's
+    per-axis squared offsets, and its pair values are the products of the
+    factors (``Window.product``); the bump is evaluated on the r2 each block
+    forms, with g_eps written over it.  Each block's V_eps is deposited
+    onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     cols = () if carry is None else carry.T
     density, carried, pairs = None, [None] * len(cols), []
     for rows, blk in grid.window(pos, kernel.padding_radius()).blocks():
-        v, g = value_and_grad_factor(kernel, blk.r2())
-        pairs.append((blk, g))
+        if kernel.separable:
+            v, g = axis_factors(kernel, blk.sq())
+            grad = (v if kernel.d > 1 else None, g)  # the gather reads v along the other axes only; in 1d there are none
+            v = blk.product(v)
+        else:
+            v, grad = value_and_grad_factor(kernel, blk.r2())
+        pairs.append((blk.at, blk.off, grad))
         carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
         density = blk.deposit(v, density)
-    return Deposit(grid, tuple(pairs), density / len(pos), None if carry is None else np.stack(carried, axis=-1))
+    return Deposit(grid, kernel, tuple(pairs), density / len(pos), None if carry is None else np.stack(carried, axis=-1))
 
 
 def regularized_energy(

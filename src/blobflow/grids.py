@@ -97,7 +97,8 @@ class Grid:
 
 # The most pairs in one row block of a window.  The pairs are formed, the
 # kernel evaluated and the velocity gathered one block at a time, so the
-# factors g_eps are the one full-size pair array.  2**16 pairs is 0.5 MB of
+# bump's factors g_eps are the one full-size pair array a deposit keeps (a
+# separable kernel keeps per-axis factors only).  2**16 pairs is 0.5 MB of
 # float64, and every 1d workload fits in one block.
 BLOCK_PAIRS = 1 << 16
 
@@ -110,11 +111,12 @@ class Window:
     point (its ``r2`` is finite).  Usually every box lies on the grid, and
     the window keeps no mask (``inside`` is None).  When a box overhangs
     the grid's edge, its nodes there are clipped to an edge index and
-    masked: ``inside`` marks the nodes on the grid, and ``r2`` is inf at
-    the others.  Only per-axis (N, d, W) arrays are kept: ``lin`` and
-    ``r2`` form the (N, W^d) pairs when they are needed, and ``blocks``
-    cuts the window into row blocks so that no more than BLOCK_PAIRS of
-    them are formed at once.
+    masked: ``inside`` marks the nodes on the grid, and ``sq`` and ``r2``
+    are inf at the others.  Only per-axis (N, d, W) arrays are kept:
+    ``lin`` and ``r2`` (or ``product`` of per-axis factors) form the
+    (N, W^d) pairs when they are needed, and ``blocks`` cuts the window
+    into row blocks so that no more than BLOCK_PAIRS of them are formed at
+    once.
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
@@ -135,14 +137,29 @@ class Window:
 
     def lin(self) -> np.ndarray:
         """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes."""
-        return box_sum(self.at)
+        return box_outer(np.add, self.at)
+
+    def sq(self) -> np.ndarray:
+        """(N, d, W) squared offsets along each axis, inf where the node is off the grid or beyond reach along that axis; a new array."""
+        sq = self.off * self.off
+        sq[sq > self.reach * self.reach] = np.inf
+        return sq if self.inside is None else np.where(self.inside, sq, np.inf)
 
     def r2(self) -> np.ndarray:
         """(N, W^d) squared distances from each point to its box nodes, inf off the grid or beyond reach; a new array."""
         sq = self.off * self.off
-        r2 = box_sum(sq if self.inside is None else np.where(self.inside, sq, np.inf))
+        r2 = box_outer(np.add, sq if self.inside is None else np.where(self.inside, sq, np.inf))
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
+
+    def product(self, f: np.ndarray) -> np.ndarray:
+        """(N, W^d) products over each box of per-axis (N, d, W) factors, 0.0 at the pairs beyond reach.
+
+        The factors must be 0.0 where ``sq`` is inf, so the only pairs left
+        to cut lie within reach along every axis but beyond it as a whole
+        (``ball_cut``).  In 1d the products are a view of the factors.
+        """
+        return ball_cut(self.off, self.reach, box_outer(np.multiply, f))
 
     def deposit(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat (G,) sums per node of the (N, W^d) pair values.
@@ -158,25 +175,55 @@ class Window:
         np.add.at(out, lin, values.ravel())
         return out
 
-    def contract(self, values: np.ndarray) -> np.ndarray:
-        """(N, d) sums over each box of (node - point) times the (N, W^d) pair values.
 
-        Axis k sums the values over the other box axes first, then weighs
-        them by ``off[:, k]``, so no (N, W^d, d) array is built.
-        """
-        n, d, w = self.off.shape
-        box = values.reshape((n,) + (w,) * d)
-        others = lambda k: tuple(a for a in range(1, d + 1) if a != k + 1)
-        out = np.empty((n, d))
-        for k in range(d):  # in 1d there are no other axes, and the values go in as they are
-            np.einsum("nw,nw->n", self.off[:, k], box.sum(axis=others(k)) if d > 1 else values, out=out[:, k])
-        return out
+def contract(off: np.ndarray, values: np.ndarray, factors: tuple | None = None) -> np.ndarray:
+    """(n, d) sums over each box of (node - point) along each axis times the (n, W^d) pair values.
+
+    Axis k sums the values over the other box axes first, then weighs them
+    by ``off[:, k]``, so no (n, W^d, d) array is built.  With the per-axis
+    factors (v, g) of a product profile (``kernels.axis_factors``), the sum
+    over the other axis weighs the values by v along it, and the result is
+    weighed by g along k: the gradient of v_0(y_0) v_1(y_1) along k is
+    y_k g_k(y_k) v_j(y_j).  In 1d there are no other axes, and the values
+    go in as they are; with factors, g is multiplied into them in place.
+    """
+    n, d, w = off.shape
+    box = values.reshape((n,) + (w,) * d)
+    if d == 1:
+        sums = [values]
+    elif factors is None:
+        sums = [box.sum(axis=2), box.sum(axis=1)]
+    else:
+        v = factors[0]
+        sums = [(box @ v[:, 1, :, None])[..., 0], (v[:, 0, None, :] @ box)[:, 0]]
+    out = np.empty((n, d))
+    for k, s in enumerate(sums):
+        if factors is not None:
+            s *= factors[1][:, k]
+        np.einsum("nw,nw->n", off[:, k], s, out=out[:, k])
+    return out
 
 
-def box_sum(a: np.ndarray) -> np.ndarray:
-    """Flat (n, W^d) sums of per-axis (n, d, W) values laid along the axes of the (n, W, ..., W) box, row-major; in 1d a view of a."""
+def ball_cut(off: np.ndarray, reach: float, values: np.ndarray) -> np.ndarray:
+    """The (n, W^d) pair values, set to 0.0 in place where the node is beyond reach but within it along each axis.
+
+    One compare per box row, of sq_1 against reach^2 - sq_0, finds them, so
+    no (n, W^d) squared distance is formed.  In 1d there are none.
+    """
+    n, d, w = off.shape
+    if d > 1:
+        sq = off * off
+        box = values.reshape(n, w, w)
+        np.multiply(box, sq[:, 1, None, :] <= reach * reach - sq[:, 0, :, None], out=box)
+    return values
+
+
+def box_outer(op, a: np.ndarray) -> np.ndarray:
+    """Flat (n, W^d) outer op (np.add, np.multiply) of per-axis (n, d, W) values laid along the axes of the (n, W, ..., W) box, row-major; in 1d a view of a."""
     n, d, _ = a.shape
-    return reduce(np.add, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+    if d == 1:  # the per-call cost of the reduce below shows in runs of many small 1d calls (JKO)
+        return a[:, 0]
+    return reduce(op, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
 
 
 def lattice_nodes(axes) -> np.ndarray:

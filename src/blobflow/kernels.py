@@ -11,7 +11,13 @@ A smoothing kernel of width ``eps`` is generated from a unit profile by
   the profile required by the subquadratic diffusion regime.
 
 Both profiles are nonnegative, even, mass one, with finite second moment
-and integrable gradient.  Scalar moments of the unit profile are closed
+and integrable gradient.  The gaussian is also separable: ``V_eps(x) =
+prod_k V^1_eps(x_k)``, a product of 1d profiles, so the particle<->grid
+pairs evaluate it once per axis (``axis_factors``) and form each pair as a
+product; the reach cut is still the ball of radius ``R``.  The bump is not
+a product and is evaluated on each pair's squared distance
+(``value_and_grad_factor``).  ``MollifierSpec.separable`` picks the route
+from the family alone.  Scalar moments of the unit profile are closed
 forms (``UNIT_MOMENTS``); moments of ``V_eps`` follow from the exact
 scaling laws (``m1`` and ``m2`` scale like ``eps`` and ``eps^2``, sup norms
 like ``eps^{-d}`` and ``eps^{-d-2}``).
@@ -56,6 +62,11 @@ class MollifierSpec:
         if self.family == "bump":
             return self.eps
         return GAUSSIAN_TRUNCATION * self.eps
+
+    @property
+    def separable(self) -> bool:
+        """True when V_eps is a product of 1d profiles, one per axis (the gaussian family)."""
+        return self.family == "gaussian"
 
     def with_eps(self, eps: float) -> "MollifierSpec":
         return MollifierSpec(self.family, self.d, eps)
@@ -118,7 +129,10 @@ def kernel_moments(spec: MollifierSpec) -> KernelMoments:
 def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     """(V_eps, g_eps) at squared distances r2, with grad V_eps(x) = x g_eps(|x|^2).
 
-    The one evaluation of the kernel profiles.  V_eps and g_eps share one
+    The evaluation of a profile on whole-pair distances: the window's route
+    for the bump, and for every family the route of ``value_on_pairs`` and
+    ``grad_on_pairs``.  A separable profile's pairs take ``axis_factors``
+    instead.  V_eps and g_eps share one
     exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
     exactly 0.0 at r2 = inf, which is how ``Window.r2`` marks the pairs
     that do not count.  r2 is consumed: g_eps is written over its buffer (a
@@ -142,6 +156,22 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     t *= t
     t *= -6.0 * c * inv_eps2
     return v, t
+
+
+def axis_factors(spec: MollifierSpec, sq: np.ndarray) -> tuple:
+    """(v, g) per axis of the gaussian (the separable profile) at squared offsets sq along each axis, each of sq's shape.
+
+    V_eps(x) = prod_k v_k(x_k) and grad V_eps(x)_k = x_k g_k(x_k) prod_{j != k} v_j(x_j),
+    with v the 1d gaussian of width eps and g = v · (-1/eps^2).  Both are
+    exactly 0.0 at sq = inf, which is how ``Window.sq`` marks the nodes that
+    do not count, so no exp underflows.  sq is consumed as in
+    ``value_and_grad_factor``: g is written over its buffer.  In 1d, v and g
+    are V_eps and g_eps of that function, bit for bit.
+    """
+    inv_eps2 = spec.eps ** -2.0
+    v = np.exp(np.multiply(sq, -0.5 * inv_eps2, out=sq))
+    v *= _INV_SQRT_2PI * spec.eps ** -1.0
+    return v, np.multiply(v, -inv_eps2, out=sq)
 
 
 def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:

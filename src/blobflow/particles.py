@@ -12,15 +12,20 @@ each particle touches only the nodes within R, found in its box of
 W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  When every box
 lies on the grid, the usual case, the box nodes are indexed as they are;
 a box that overhangs the grid's edge is clipped to it and masked, with
-the same bits either way.  One kernel
-evaluation on the box's squared distances gives both V_eps and the factor
-g_eps of grad V_eps(x) = x g_eps(|x|^2): the mollified density is deposited
-from V_eps (``energy.Deposit``), and each particle's velocity component k
-is the sum over its box of the node-minus-particle offset along k times
-g_eps F' w, in O(N W^d) time and memory however large the grid.  The
-window cuts itself into row blocks (``Window.blocks``), and each block
-forms, evaluates and gathers its own pairs, so g_eps, kept per block in
-``Deposit.pairs``, is the one full-size (N, W^d) pair array.
+the same bits either way.  The mollified density is deposited from the
+V_eps pair values (``energy.Deposit``), and each particle's velocity
+component k is the sum over its box of the node-minus-particle offset
+along k times the gradient factor times F' w, in O(N W^d) time and memory
+however large the grid.  The bump is evaluated on each pair's squared
+distance, giving V_eps and g_eps of grad V_eps(x) = x g_eps(|x|^2).  The
+gaussian is a product of 1d profiles and is evaluated once per axis; its
+gradient is contracted one axis at a time (``grids.contract``), and the
+pairs beyond R in the box corners are zeroed in the deposit and the
+gather alike (``grids.ball_cut``).  The window cuts itself into row
+blocks (``Window.blocks``), and each block forms, evaluates and gathers
+its own pairs, so g_eps, kept per block in ``Deposit.pairs`` for the bump
+only, is the one full-size (N, W^d) pair array; the gaussian keeps
+per-axis (N, d, W) factors.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -35,7 +40,7 @@ import numpy as np
 from . import transport
 from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
 from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
-from .grids import QuadratureSpec
+from .grids import QuadratureSpec, ball_cut, box_outer, contract
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
 
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -99,12 +104,15 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     wf = np.zeros_like(dep.density)
     held = dep.density != 0.0
     wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
-    # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2)
-    vel = []
-    for blk, g in dep.pairs:
-        gw = wf[blk.lin()]
-        gw *= g
-        vel.append(blk.contract(gw))
+    # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2), or per axis for a separable kernel
+    reach, vel = dep.kernel.padding_radius(), []
+    for at, off, grad in dep.pairs:
+        box = wf[box_outer(np.add, at)]
+        if dep.kernel.separable:
+            vel.append(contract(off, ball_cut(off, reach, box), grad))
+        else:
+            box *= grad
+            vel.append(contract(off, box))
     return np.concatenate(vel)
 
 

@@ -105,8 +105,13 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
+    """W2 of the optimal assignment on the squared-distance cost, built one axis at a time (no (N, N, d) array)."""
     a, b = _pos(a), _pos(b)
-    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    cost = None
+    for k in range(a.shape[1]):
+        gap = np.subtract.outer(a[:, k], b[:, k])
+        gap *= gap
+        cost = gap if cost is None else np.add(cost, gap, out=cost)
     cols = linear_assignment(cost)
     return float(np.sqrt(cost[np.arange(cost.shape[0]), cols].mean()))
 

@@ -262,3 +262,14 @@ def test_refined_beyond_the_common_refinement_size():
     dist = w2(a, b)
     assert np.isfinite(dist) and 0.0 < dist < 0.5
     assert dist == pytest.approx(w2(b, a), rel=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([1, 2]), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_assignment_cost_built_per_axis_gives_the_broadcast_value(d, n, seed):
+    # the (N, N) cost is summed one axis at a time; the (N, N, d) broadcast form is the oracle, bit for bit
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, d)), rng.uniform(-2.0, 2.0, size=(n, d))
+    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    want = float(np.sqrt(cost[np.arange(n), linear_assignment(cost)].mean()))
+    assert w2_assignment_positions(a, b) == want
