@@ -94,21 +94,19 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class Deposit:
-    """One state's V_eps * rho^N on a grid, with what the velocity gathers through: each row block's boxes and gradient data.
+    """One state's V_eps * rho^N on a grid, with what the velocity gathers through.
 
     The energy reads ``density``, the velocity gathers F'(density) back
-    through ``pairs``, and the error term reads ``carried``.  Each block
-    keeps its per-axis ``at`` and ``off`` (``Window``) and its gradient
-    data: for a separable kernel the per-axis factors (v, g) of
-    ``kernels.axis_factors``, (rows, d, W) each (v is None in 1d, where the
-    gather does not read it); for the bump the (rows, W^d)
-    g_eps, the one full-size pair array kept, in the buffer its r2 was
-    formed in.  The V_eps pair values are dead once deposited.
+    through ``pairs``, and the error term reads ``carried``.  Each row
+    block keeps its ``Window`` and its gradient data: a separable kernel's
+    per-axis (v, g), (rows, d, W) each (v is None in 1d, where the gather
+    does not read it), or the bump's (rows, W^d) g_eps, the one full-size
+    pair array kept.  The V_eps pair values are dead once deposited.
     """
 
     grid: Grid
     kernel: MollifierSpec
-    pairs: tuple  # per row block (``Window.blocks``), (at, off, per-axis (v, g) if kernel.separable else g_eps(|node - x|^2))
+    pairs: tuple  # per row block (``Window.blocks``), (its Window, per-axis (v, g) if kernel.separable else g_eps(|node - x|^2))
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
@@ -118,11 +116,8 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
     (``Deposit.carried``).  The particles are evaluated in the window's row
-    blocks.  A separable kernel is evaluated once per axis on the block's
-    per-axis squared offsets, and its pair values are the products of the
-    factors (``Window.product``); the bump is evaluated on the r2 each block
-    forms, with g_eps written over it.  Each block's V_eps is deposited
-    onto the sums so far and let go.
+    blocks, by the route ``kernels`` gives the family, and each block's
+    V_eps is deposited onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     cols = () if carry is None else carry.T
@@ -134,7 +129,7 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
             v = blk.product(v)
         else:
             v, grad = value_and_grad_factor(kernel, blk.r2())
-        pairs.append((blk.at, blk.off, grad))
+        pairs.append((blk, grad))
         carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
         density = blk.deposit(v, density)
     return Deposit(grid, kernel, tuple(pairs), density / len(pos), None if carry is None else np.stack(carried, axis=-1))

@@ -6,7 +6,8 @@ padded by the kernel's numerical support so truncation sits below every
 tolerance in use.  Every lattice is built by ``cover_points`` and every
 grid integral is a dot product with ``Grid.trapezoid_weights``; reductions are
 plain numpy sums (fixed pairwise-summation topology), so repeated runs are
-bit-reproducible.  Everything here is written once for any dimension d.
+bit-reproducible.  The grid layer is written once for any dimension d; the
+box products and the ball cut serve the kernels' d <= 2.
 
 ``write_csv`` is the one writer of every CSV artifact: Python scalars
 joined by ``str``, which for floats is the shortest round-trip repr, so
@@ -21,6 +22,7 @@ from math import inf, prod
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError
 
@@ -78,13 +80,18 @@ class Grid:
         c = int(np.ceil(reach / self.spacing))
         base = np.floor((pts - self.origin) / self.spacing).astype(int)
         idx = base[:, :, None] + np.arange(-c, c + 2)
-        off = self.origin[:, None] + self.spacing * idx - pts[:, :, None]  # (N, d, W) node minus point per axis
-        strides = np.array([prod(self.shape[k + 1:]) for k in range(d)])[:, None]  # row-major
+        off = self.spacing * idx
+        off += self.origin[:, None]
+        off -= pts[:, :, None]  # (N, d, W) node minus point per axis
+        ball = None if d == 1 else last_within(off[:, 0] * off[:, 0], reach * reach)
+        strides = row_major_strides(self.shape)[:, None]
         lo, hi = base.min(axis=0).tolist(), base.max(axis=0).tolist()
         if all(c <= a and b + c + 1 < n for a, b, n in zip(lo, hi, self.shape)):  # every box lies on the grid
-            return Window(off, idx if d == 1 else idx * strides, None, prod(self.shape), reach)
+            if d > 1:
+                idx *= strides
+            return Window(off, idx, None, ball, self.shape, reach)
         shape = np.asarray(self.shape)[:, None]
-        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), prod(self.shape), reach)
+        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), ball, self.shape, reach)
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -108,21 +115,19 @@ class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
-    point (its ``r2`` is finite).  Usually every box lies on the grid, and
-    the window keeps no mask (``inside`` is None).  When a box overhangs
-    the grid's edge, its nodes there are clipped to an edge index and
-    masked: ``inside`` marks the nodes on the grid, and ``sq`` and ``r2``
-    are inf at the others.  Only per-axis (N, d, W) arrays are kept:
-    ``lin`` and ``r2`` (or ``product`` of per-axis factors) form the
-    (N, W^d) pairs when they are needed, and ``blocks`` cuts the window
-    into row blocks so that no more than BLOCK_PAIRS of them are formed at
-    once.
+    point.  Usually every box lies on the grid, and the window keeps no
+    mask (``inside`` is None).  When a box overhangs the grid's edge, its
+    nodes there are clipped to an edge index and masked: ``inside`` marks
+    the nodes on the grid, and ``sq`` and ``r2`` are inf at the others.
+    Only per-axis (N, d, W) arrays are kept; the (N, W^d) pairs are formed
+    when they are needed, at most BLOCK_PAIRS of them at once (``blocks``).
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
     at: np.ndarray  # (N, d, W) node index along each axis, clipped to the grid, times that axis's row-major stride
     inside: np.ndarray | None  # (N, d, W) True where the node is on the grid along that axis; None when every box is
-    size: int  # G, the grid's node count
+    ball: np.ndarray | None  # (N, W) per node along axis 0, the largest sq_1 within reach beside it; None in 1d
+    shape: tuple  # the grid's node count per axis
     reach: float  # R: a pair beyond it does not count
 
     def blocks(self) -> list:
@@ -132,12 +137,32 @@ class Window:
         if step >= n:
             return [(slice(0, n), self)]
         return [(rows, replace(self, off=self.off[rows], at=self.at[rows],
-                               inside=None if self.inside is None else self.inside[rows]))
+                               inside=None if self.inside is None else self.inside[rows],
+                               ball=None if self.ball is None else self.ball[rows]))
                 for rows in (slice(a, a + step) for a in range(0, n, step))]
 
     def lin(self) -> np.ndarray:
-        """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes."""
-        return box_outer(np.add, self.at)
+        """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes; in 1d a view of ``at``.
+
+        On the grid, a box is its first node's index plus one (W^d,) template
+        of the per-axis offsets stride_k · j.
+        """
+        n, d, w = self.at.shape
+        if d == 1 or self.inside is not None:
+            return box_sum(self.at)
+        return self.at[:, :, 0].sum(axis=1)[:, None] + box_sum(row_major_strides(self.shape)[None, :, None] * np.arange(w))
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """(N, W^d) flat (G,) grid values at each point's box nodes, a new array.
+
+        On the grid (d > 1), each box is read from a strided (W, ..., W) view
+        of the grid at its first node, and no flat index is formed.
+        """
+        n, d, w = self.at.shape
+        if d == 1 or self.inside is not None:
+            return values[self.lin()]
+        boxes = sliding_window_view(values.reshape(self.shape), (w,) * d)
+        return boxes[tuple((self.at[:, :, 0] // row_major_strides(self.shape)).T)].reshape(n, -1)
 
     def sq(self) -> np.ndarray:
         """(N, d, W) squared offsets along each axis, inf where the node is off the grid or beyond reach along that axis; a new array."""
@@ -148,18 +173,34 @@ class Window:
     def r2(self) -> np.ndarray:
         """(N, W^d) squared distances from each point to its box nodes, inf off the grid or beyond reach; a new array."""
         sq = self.off * self.off
-        r2 = box_outer(np.add, sq if self.inside is None else np.where(self.inside, sq, np.inf))
+        r2 = box_sum(sq if self.inside is None else np.where(self.inside, sq, np.inf))
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
 
     def product(self, f: np.ndarray) -> np.ndarray:
-        """(N, W^d) products over each box of per-axis (N, d, W) factors, 0.0 at the pairs beyond reach.
+        """(N, W^d) products over each box of per-axis (N, d, W) factors, 0.0 at the pairs beyond reach; in 1d a view of f.
 
         The factors must be 0.0 where ``sq`` is inf, so the only pairs left
         to cut lie within reach along every axis but beyond it as a whole
-        (``ball_cut``).  In 1d the products are a view of the factors.
+        (``ball_cut``).  In 2d the products are one einsum over the box.
         """
-        return ball_cut(self.off, self.reach, box_outer(np.multiply, f))
+        n, d, _ = f.shape
+        if d == 1:
+            return f[:, 0]
+        return self.ball_cut(np.einsum("ia,ib->iab", f[:, 0], f[:, 1]).reshape(n, -1))
+
+    def ball_cut(self, values: np.ndarray) -> np.ndarray:
+        """The (N, W^d) pair values, set to 0.0 in place where the node is beyond reach, r2 = sq_0 + sq_1 > R^2.
+
+        One compare per box row, of sq_1 against ``ball``, finds them without
+        forming r2.  In 1d it does nothing: the factors are 0.0 beyond reach.
+        """
+        n, d, w = self.off.shape
+        if d > 1:
+            box = values.reshape(n, w, w)
+            sq = self.off[:, 1] * self.off[:, 1]
+            np.multiply(box, sq[:, None, :] <= self.ball[:, :, None], out=box)
+        return values
 
     def deposit(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat (G,) sums per node of the (N, W^d) pair values.
@@ -171,7 +212,7 @@ class Window:
         """
         lin = self.lin().ravel()
         if out is None:
-            return np.bincount(lin, weights=values.ravel(), minlength=self.size)
+            return np.bincount(lin, weights=values.ravel(), minlength=prod(self.shape))
         np.add.at(out, lin, values.ravel())
         return out
 
@@ -204,26 +245,42 @@ def contract(off: np.ndarray, values: np.ndarray, factors: tuple | None = None) 
     return out
 
 
-def ball_cut(off: np.ndarray, reach: float, values: np.ndarray) -> np.ndarray:
-    """The (n, W^d) pair values, set to 0.0 in place where the node is beyond reach but within it along each axis.
+def last_within(a: np.ndarray, bound: float) -> np.ndarray:
+    """Elementwise, the largest float s >= 0 with a + s <= bound in floating point, or -1.0 where a > bound.
 
-    One compare per box row, of sq_1 against reach^2 - sq_0, finds them, so
-    no (n, W^d) squared distance is formed.  In 1d there are none.
+    A rounded sum is monotone in each term, so 0 <= b <= last_within(a, bound)
+    exactly when the rounded a + b is at most bound.  The start, bound - a
+    plus half of bound's ulp, lies a few ulps from the answer, and the loops
+    walk the bit patterns, which order the nonnegative floats.  a is
+    consumed (clipped to bound in place).
     """
-    n, d, w = off.shape
-    if d > 1:
-        sq = off * off
-        box = values.reshape(n, w, w)
-        np.multiply(box, sq[:, 1, None, :] <= reach * reach - sq[:, 0, :, None], out=box)
-    return values
+    beyond = a > bound
+    np.minimum(a, bound, out=a)
+    t = bound - a
+    t += (np.nextafter(bound, np.inf) - bound) / 2
+    bits, trial = t.view(np.int64), np.empty_like(t)
+    while np.any(over := np.add(a, t, out=trial) > bound):  # down to the first t that passes
+        bits -= over
+    while True:  # up while the next float passes too
+        np.add(bits, 1, out=trial.view(np.int64))
+        if not np.any(more := np.add(a, trial, out=trial) <= bound):
+            break
+        bits += more
+    t[beyond] = -1.0
+    return t
 
 
-def box_outer(op, a: np.ndarray) -> np.ndarray:
-    """Flat (n, W^d) outer op (np.add, np.multiply) of per-axis (n, d, W) values laid along the axes of the (n, W, ..., W) box, row-major; in 1d a view of a."""
+def box_sum(a: np.ndarray) -> np.ndarray:
+    """Flat (n, W^d) sums of per-axis (n, d, W) values laid along the axes of the (n, W, ..., W) box, row-major; in 1d a view of a."""
     n, d, _ = a.shape
     if d == 1:  # the per-call cost of the reduce below shows in runs of many small 1d calls (JKO)
         return a[:, 0]
-    return reduce(op, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+    return reduce(np.add, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+
+
+def row_major_strides(shape: tuple) -> np.ndarray:
+    """(d,) flat-index step of one node along each axis of a row-major grid of the given shape."""
+    return np.array([prod(shape[k + 1:]) for k in range(len(shape))])
 
 
 def lattice_nodes(axes) -> np.ndarray:

@@ -129,15 +129,12 @@ def kernel_moments(spec: MollifierSpec) -> KernelMoments:
 def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     """(V_eps, g_eps) at squared distances r2, with grad V_eps(x) = x g_eps(|x|^2).
 
-    The evaluation of a profile on whole-pair distances: the window's route
-    for the bump, and for every family the route of ``value_on_pairs`` and
-    ``grad_on_pairs``.  A separable profile's pairs take ``axis_factors``
-    instead.  V_eps and g_eps share one
-    exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
-    exactly 0.0 at r2 = inf, which is how ``Window.r2`` marks the pairs
-    that do not count.  r2 is consumed: g_eps is written over its buffer (a
-    float array r2 becomes g_eps), V_eps into one new array, and each step
-    works in place.
+    The bump's window route, and every family's ``value_on_pairs`` and
+    ``grad_on_pairs``.  V_eps and g_eps share one exp (gaussian) or one
+    t = max(1 - r2 / eps^2, 0) (bump), and both are exactly 0.0 at
+    r2 = inf, which is how ``Window.r2`` marks the pairs that do not count.
+    r2 is consumed: g_eps is written over its buffer (a float array r2
+    becomes g_eps), V_eps into one new array, and each step works in place.
     """
     r2 = np.asarray(r2, dtype=float)
     inv_eps2 = spec.eps ** -2.0

@@ -6,26 +6,14 @@ velocity field
 
     v_i = - int grad V_eps(x_i - y) F'( (1/N) sum_j V_eps(y - x_j) ) dy,
 
-evaluated by trapezoid quadrature on one shared grid per evaluation.  V_eps
-vanishes beyond its reach R (the bump support, the gaussian truncation), so
-each particle touches only the nodes within R, found in its box of
-W = 2 ceil(R/h) + 2 nodes per axis (``Grid.window``).  When every box
-lies on the grid, the usual case, the box nodes are indexed as they are;
-a box that overhangs the grid's edge is clipped to it and masked, with
-the same bits either way.  The mollified density is deposited from the
-V_eps pair values (``energy.Deposit``), and each particle's velocity
-component k is the sum over its box of the node-minus-particle offset
-along k times the gradient factor times F' w, in O(N W^d) time and memory
-however large the grid.  The bump is evaluated on each pair's squared
-distance, giving V_eps and g_eps of grad V_eps(x) = x g_eps(|x|^2).  The
-gaussian is a product of 1d profiles and is evaluated once per axis; its
-gradient is contracted one axis at a time (``grids.contract``), and the
-pairs beyond R in the box corners are zeroed in the deposit and the
-gather alike (``grids.ball_cut``).  The window cuts itself into row
-blocks (``Window.blocks``), and each block forms, evaluates and gathers
-its own pairs, so g_eps, kept per block in ``Deposit.pairs`` for the bump
-only, is the one full-size (N, W^d) pair array; the gaussian keeps
-per-axis (N, d, W) factors.
+evaluated by trapezoid quadrature on one shared grid per evaluation.  The
+density is one ``energy.Deposit`` over each particle's box of grid nodes
+(``grids.Window``), and the velocity is gathered back through the same
+row blocks: each block reads F' w on its boxes (``Window.gather``) and
+sums the node-minus-particle offsets times the kernel's gradient factors
+one axis at a time (``grids.contract``), in O(N W^d) time and memory
+however large the grid.  ``kernels`` describes how each family is
+evaluated.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -40,7 +28,7 @@ import numpy as np
 from . import transport
 from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
 from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
-from .grids import QuadratureSpec, ball_cut, box_outer, contract
+from .grids import QuadratureSpec, contract
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
 
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -99,20 +87,20 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
 
     F' is read only where the deposit is nonzero: nothing else is gathered,
     and the entropy's F' is undefined at zero density.  The gather walks
-    the deposit's row blocks, so no full-size ``wf[lin]`` is built.
+    the deposit's row blocks, so no full-size pair array is built.
     """
     wf = np.zeros_like(dep.density)
     held = dep.density != 0.0
     wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2), or per axis for a separable kernel
-    reach, vel = dep.kernel.padding_radius(), []
-    for at, off, grad in dep.pairs:
-        box = wf[box_outer(np.add, at)]
+    vel = []
+    for blk, grad in dep.pairs:
+        box = blk.gather(wf)
         if dep.kernel.separable:
-            vel.append(contract(off, ball_cut(off, reach, box), grad))
+            vel.append(contract(blk.off, blk.ball_cut(box), grad))
         else:
             box *= grad
-            vel.append(contract(off, box))
+            vel.append(contract(blk.off, box))
     return np.concatenate(vel)
 
 
@@ -222,13 +210,14 @@ def simulate(
 
     def record(ens, last):
         """Append the snapshot and its diagnostics; return the next step's first-stage velocity, unless last."""
+        dw_step = w2(snapshots[-1][1], ens) if snapshots else 0.0  # first, so its (N, N) cost never meets the deposit's pairs
         dep = mollified_density(ens.positions, kernel, quad.grid_for(ens.positions, kernel))
         diagnostics.append({
             "t": ens.time,
             "energy": energy_on_grid(dep, model),
             "m2": transport.m2(ens),
             "com": ens.center_of_mass(),
-            "dw_step": w2(snapshots[-1][1], ens) if snapshots else 0.0,
+            "dw_step": dw_step,
         })
         snapshots.append((ens.time, ens))
         return None if last else velocity_on_grid(dep, model)

@@ -213,8 +213,8 @@ GATE_CASES = pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 40
 @GATE_CASES
 def test_window_alone_holds_less_than_one_pair_array(family, n):
     # the window keeps per-axis (N, d, W) arrays only; every (rows, W^d) array is formed per row block.
-    # Both cases lie on the grid, so no mask is built: measured 0.12x (gaussian) and 0.40x (bump), from
-    # 0.15x and 0.51x with the mask; 0.5x leaves 0.10x of headroom for numpy's temporaries.
+    # Both cases lie on the grid, so no mask is built: measured 0.13x (gaussian) and 0.47x (bump) with the
+    # (N, W) ball thresholds, 0.12x and 0.40x without them; 0.5x leaves 0.03x of headroom for numpy's temporaries.
     kernel, pos = gate_case(family, n)
     grid = QuadratureSpec().grid_for(pos, kernel)
     peak = traced_peak(lambda: grid.window(pos, kernel.padding_radius()))
@@ -229,8 +229,9 @@ def test_velocity_path_holds_at_most_two_pair_arrays(monkeypatch, family, n):
     blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: velocity_on_grid(mollified_density(pos, kernel, grid), model))
     # the bump keeps its g_eps through the gather; the gaussian keeps per-axis factors only, so its peak is a few
-    # eighth-size blocks: measured 0.54x, and 0.65x leaves 0.11x of headroom
-    assert peak <= {"gaussian": 0.65, "bump": 2.0}[family] * pair_nbytes(grid, pos, kernel)
+    # eighth-size blocks, one fewer since its gather reads each box through a strided view and forms no flat
+    # indices: measured 0.43x, and 0.5x leaves 0.07x of headroom
+    assert peak <= {"gaussian": 0.5, "bump": 2.0}[family] * pair_nbytes(grid, pos, kernel)
 
 
 @GATE_CASES
@@ -310,6 +311,44 @@ def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
         assert not any(np.shares_memory(r2, a) for a in (win.off, win.at, win.inside) if a is not None)  # the caller owns r2
         if kernel.d == 1:  # one box axis to sum: lin is a view of the per-axis array, no new pair array
             assert np.shares_memory(lin, win.at)
+
+
+def box_outer(op, a):
+    """The broadcast reduce the box fast paths replace: flat (n, W^d) outer op of per-axis (n, d, W) values over the box."""
+    n, d, _ = a.shape
+    return reduce(op, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+
+
+@settings(max_examples=100)
+@given(cases(dims=(2,)), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
+def test_box_fast_paths_give_the_bits_of_the_broadcast_reduce(case, k, size):
+    # a block on the grid gathers through a strided view and indexes from one box template; one that overhangs
+    # gathers by lin.  Both must give the broadcast reduce's bits, as must the einsum pair products.
+    kernel, _, pos, grid, _ = case
+    per_row = pairs_per_row(grid, pos, kernel)
+    rng = np.random.default_rng(len(pos))
+    wf = rng.normal(size=prod(grid.shape))
+    routes = []
+
+    def spy(route, fn):
+        def wrapped(*args, **kwargs):
+            routes.append(route)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grids, "BLOCK_PAIRS", {"one row": 1, "k rows": k * per_row, "all rows": len(pos) * per_row}[size])
+        blocks = grid.window(pos, kernel.padding_radius()).blocks()
+        mp.setattr(grids, "sliding_window_view", spy("view", grids.sliding_window_view))
+        mp.setattr(grids.Window, "lin", spy("lin", grids.Window.lin))
+        for _, blk in blocks:
+            lin = box_outer(np.add, blk.at)
+            routes.clear()
+            assert np.array_equal(blk.gather(wf), wf[lin])
+            assert routes == (["view"] if blk.inside is None else ["lin"])
+            assert np.array_equal(blk.lin(), lin)
+            f = rng.uniform(size=blk.off.shape)
+            assert np.array_equal(blk.product(f), blk.ball_cut(box_outer(np.multiply, f)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -411,6 +450,22 @@ def test_per_axis_gaussian_cuts_the_box_corners_beyond_reach():
     heaped = replace(dep, density=dep.density.copy())
     heaped.density[corner] = np.max(dep.density)
     assert np.array_equal(velocity_on_grid(heaped, model), velocity_on_grid(dep, model))
+
+
+@settings(max_examples=100)
+@given(cases(dims=(2,), families=("gaussian",)))
+def test_per_axis_gaussian_keeps_exactly_the_pairs_within_reach(case):
+    # the box corners beyond R carry at most exp(-32) of the peak, which no dense-oracle tolerance sees, so the
+    # pairs the product leaves nonzero are held to the dense oracle's on-grid pairs within R as a set
+    kernel, _, pos, grid, _ = case
+    reach = kernel.padding_radius()
+    win = grid.window(pos, reach)
+    held = win.product(axis_factors(kernel, win.sq())[0]) != 0.0
+    rows = np.broadcast_to(np.arange(len(pos))[:, None], held.shape)
+    kept = np.zeros((len(pos), prod(grid.shape)), dtype=bool)
+    kept[rows[held], win.lin()[held]] = True
+    _, near = dense_pairs(pos, kernel, grid, reach)
+    assert np.array_equal(kept, near) and np.count_nonzero(held) == np.count_nonzero(near)
 
 
 def test_gaussian_truncation_moves_the_deposit_by_its_tail_only():
