@@ -99,9 +99,11 @@ class Deposit:
     The energy reads ``density``, the velocity gathers F'(density) back
     through ``pairs``, and the error term reads ``carried``.  Each row
     block keeps its ``Window`` and its gradient data: a separable kernel's
-    per-axis (v, g), (rows, d, W) each (v is None in 1d, where the gather
-    does not read it), or the bump's (rows, W^d) g_eps, the one full-size
-    pair array kept.  The V_eps pair values are dead once deposited.
+    per-axis (v, g), (rows, d, W) each and 0.0 beyond reach along their
+    axis, so the gather cuts the same box (v is None in 1d, where the
+    gather does not read it), or the bump's (rows, W^d) g_eps, the one
+    full-size pair array kept.  The V_eps pair values are dead once
+    deposited.
     """
 
     grid: Grid

@@ -7,7 +7,7 @@ tolerance in use.  Every lattice is built by ``cover_points`` and every
 grid integral is a dot product with ``Grid.trapezoid_weights``; reductions are
 plain numpy sums (fixed pairwise-summation topology), so repeated runs are
 bit-reproducible.  The grid layer is written once for any dimension d; the
-box products and the ball cut serve the kernels' d <= 2.
+box products serve the kernels' d <= 2.
 
 ``write_csv`` is the one writer of every CSV artifact: Python scalars
 joined by ``str``, which for floats is the shortest round-trip repr, so
@@ -83,15 +83,14 @@ class Grid:
         off = self.spacing * idx
         off += self.origin[:, None]
         off -= pts[:, :, None]  # (N, d, W) node minus point per axis
-        ball = None if d == 1 else last_within(off[:, 0] * off[:, 0], reach * reach)
         strides = row_major_strides(self.shape)[:, None]
         lo, hi = base.min(axis=0).tolist(), base.max(axis=0).tolist()
         if all(c <= a and b + c + 1 < n for a, b, n in zip(lo, hi, self.shape)):  # every box lies on the grid
             if d > 1:
                 idx *= strides
-            return Window(off, idx, None, ball, self.shape, reach)
+            return Window(off, idx, None, self.shape, reach)
         shape = np.asarray(self.shape)[:, None]
-        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), ball, self.shape, reach)
+        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), self.shape, reach)
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -115,7 +114,9 @@ class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
     A pair counts when its node is on the grid and within reach of the
-    point.  Usually every box lies on the grid, and the window keeps no
+    point: as a whole (``r2``, the ball of radius R) for a kernel evaluated
+    on squared distances, along every axis (``sq``, the box) for a separable
+    one.  Usually every box lies on the grid, and the window keeps no
     mask (``inside`` is None).  When a box overhangs the grid's edge, its
     nodes there are clipped to an edge index and masked: ``inside`` marks
     the nodes on the grid, and ``sq`` and ``r2`` are inf at the others.
@@ -126,9 +127,8 @@ class Window:
     off: np.ndarray  # (N, d, W) node minus point along each axis
     at: np.ndarray  # (N, d, W) node index along each axis, clipped to the grid, times that axis's row-major stride
     inside: np.ndarray | None  # (N, d, W) True where the node is on the grid along that axis; None when every box is
-    ball: np.ndarray | None  # (N, W) per node along axis 0, the largest sq_1 within reach beside it; None in 1d
     shape: tuple  # the grid's node count per axis
-    reach: float  # R: a pair beyond it does not count
+    reach: float  # R: a pair beyond it (in r2, or along an axis in sq) does not count
 
     def blocks(self) -> list:
         """(rows, window of those rows) for consecutive row blocks of at most BLOCK_PAIRS pairs each (one row at least), in order."""
@@ -137,8 +137,7 @@ class Window:
         if step >= n:
             return [(slice(0, n), self)]
         return [(rows, replace(self, off=self.off[rows], at=self.at[rows],
-                               inside=None if self.inside is None else self.inside[rows],
-                               ball=None if self.ball is None else self.ball[rows]))
+                               inside=None if self.inside is None else self.inside[rows]))
                 for rows in (slice(a, a + step) for a in range(0, n, step))]
 
     def lin(self) -> np.ndarray:
@@ -178,29 +177,16 @@ class Window:
         return r2
 
     def product(self, f: np.ndarray) -> np.ndarray:
-        """(N, W^d) products over each box of per-axis (N, d, W) factors, 0.0 at the pairs beyond reach; in 1d a view of f.
+        """(N, W^d) products over each box of per-axis (N, d, W) factors; in 1d a view of f.
 
-        The factors must be 0.0 where ``sq`` is inf, so the only pairs left
-        to cut lie within reach along every axis but beyond it as a whole
-        (``ball_cut``).  In 2d the products are one einsum over the box.
+        The factors must be 0.0 where ``sq`` is inf, so a pair beyond reach
+        along any axis is 0.0: the cut is the box.  In 2d the products are
+        one einsum over the box.
         """
         n, d, _ = f.shape
         if d == 1:
             return f[:, 0]
-        return self.ball_cut(np.einsum("ia,ib->iab", f[:, 0], f[:, 1]).reshape(n, -1))
-
-    def ball_cut(self, values: np.ndarray) -> np.ndarray:
-        """The (N, W^d) pair values, set to 0.0 in place where the node is beyond reach, r2 = sq_0 + sq_1 > R^2.
-
-        One compare per box row, of sq_1 against ``ball``, finds them without
-        forming r2.  In 1d it does nothing: the factors are 0.0 beyond reach.
-        """
-        n, d, w = self.off.shape
-        if d > 1:
-            box = values.reshape(n, w, w)
-            sq = self.off[:, 1] * self.off[:, 1]
-            np.multiply(box, sq[:, None, :] <= self.ball[:, :, None], out=box)
-        return values
+        return np.einsum("ia,ib->iab", f[:, 0], f[:, 1]).reshape(n, -1)
 
     def deposit(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat (G,) sums per node of the (N, W^d) pair values.
@@ -243,31 +229,6 @@ def contract(off: np.ndarray, values: np.ndarray, factors: tuple | None = None) 
             s *= factors[1][:, k]
         np.einsum("nw,nw->n", off[:, k], s, out=out[:, k])
     return out
-
-
-def last_within(a: np.ndarray, bound: float) -> np.ndarray:
-    """Elementwise, the largest float s >= 0 with a + s <= bound in floating point, or -1.0 where a > bound.
-
-    A rounded sum is monotone in each term, so 0 <= b <= last_within(a, bound)
-    exactly when the rounded a + b is at most bound.  The start, bound - a
-    plus half of bound's ulp, lies a few ulps from the answer, and the loops
-    walk the bit patterns, which order the nonnegative floats.  a is
-    consumed (clipped to bound in place).
-    """
-    beyond = a > bound
-    np.minimum(a, bound, out=a)
-    t = bound - a
-    t += (np.nextafter(bound, np.inf) - bound) / 2
-    bits, trial = t.view(np.int64), np.empty_like(t)
-    while np.any(over := np.add(a, t, out=trial) > bound):  # down to the first t that passes
-        bits -= over
-    while True:  # up while the next float passes too
-        np.add(bits, 1, out=trial.view(np.int64))
-        if not np.any(more := np.add(a, trial, out=trial) <= bound):
-            break
-        bits += more
-    t[beyond] = -1.0
-    return t
 
 
 def box_sum(a: np.ndarray) -> np.ndarray:

@@ -14,13 +14,16 @@ Both profiles are nonnegative, even, mass one, with finite second moment
 and integrable gradient.  The gaussian is also separable: ``V_eps(x) =
 prod_k V^1_eps(x_k)``, a product of 1d profiles, so the particle<->grid
 pairs evaluate it once per axis (``axis_factors``) and form each pair as a
-product; the reach cut is still the ball of radius ``R``.  The bump is not
-a product and is evaluated on each pair's squared distance
-(``value_and_grad_factor``).  ``MollifierSpec.separable`` picks the route
-from the family alone.  Scalar moments of the unit profile are closed
-forms (``UNIT_MOMENTS``); moments of ``V_eps`` follow from the exact
-scaling laws (``m1`` and ``m2`` scale like ``eps`` and ``eps^2``, sup norms
-like ``eps^{-d}`` and ``eps^{-d-2}``).
+product.  Its truncation is per axis too: a pair counts when every
+``|x_k| <= 8 eps``, a box that leaves at most ``2 d Q(8)`` of the mass
+outside (``Q`` the normal tail; 2.5e-15 in d = 2).  The bump is not a
+product and is evaluated on each pair's squared distance
+(``value_and_grad_factor``), cut to its support ball.
+``MollifierSpec.separable`` picks the route from the family alone.
+Scalar moments of the unit profile are closed forms (``UNIT_MOMENTS``);
+moments of ``V_eps`` follow from the exact scaling laws (``m1`` and ``m2``
+scale like ``eps`` and ``eps^2``, sup norms like ``eps^{-d}`` and
+``eps^{-d-2}``).
 """
 from __future__ import annotations
 

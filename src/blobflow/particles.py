@@ -97,7 +97,7 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     for blk, grad in dep.pairs:
         box = blk.gather(wf)
         if dep.kernel.separable:
-            vel.append(contract(blk.off, blk.ball_cut(box), grad))
+            vel.append(contract(blk.off, box, grad))
         else:
             box *= grad
             vel.append(contract(blk.off, box))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from blobflow.energy import convolve_field
-from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, last_within, write_csv
+from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, write_csv
 from blobflow.kernels import MollifierSpec, value_on_pairs
 from blobflow.reference import BarenblattProfile
 from blobflow.runner import emit_reference
@@ -183,18 +183,3 @@ def test_cover_points_builds_the_acceptance_lattices():
         want = Grid(np.array([-4.0]), h, (int(round(2 * 4.0 / h)) + 1,))
         _same_lattice(cover_points(np.zeros((1, 1)), 4.0, h), want)
     _same_lattice(cover_points(np.zeros((1, 1)), 6.0, 0.02), Grid(np.array([-6.0]), 0.02, (601,)))
-
-
-@given(st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
-def test_last_within_decides_the_rounded_sum_with_one_compare(bound, seed):
-    # the edge cases are the point: a at, just below and just above bound and bound / 2, and sums that round onto bound
-    rng = np.random.default_rng(seed)
-    edges = [0.0, bound, bound / 2, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf), np.nextafter(bound / 2, 0.0)]
-    a = np.concatenate([rng.uniform(0.0, 2.0 * bound, 200), bound * (1.0 - rng.uniform(0.0, 1e-12, 20)), edges])
-    t = last_within(a.copy(), bound)
-    within = a <= bound
-    assert np.all(t[~within] == -1.0) and np.all(t[within] >= 0.0)
-    assert np.all(a[within] + t[within] <= bound) and np.all(a[within] + np.nextafter(t[within], np.inf) > bound)
-    b = np.concatenate([t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf), rng.uniform(0.0, bound, 100), [0.0]])
-    b = b[b >= 0.0]
-    assert np.array_equal(b[None, :] <= t[:, None], a[:, None] + b[None, :] <= bound)
