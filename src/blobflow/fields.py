@@ -121,14 +121,14 @@ class ErrorTermReport:
 
 def error_term_grid(positions, kernel: MollifierSpec, phi: TestFunction, quad: QuadratureSpec) -> Grid:
     """Grid for error_term_z: the nodes within one kernel support of the ensemble (z vanishes beyond),
-    cropped from the lattice around the ensemble and phi's centre padded by supp phi + 2 kernel supports."""
+    cropped from the lattice around the ensemble and phi's centre padded by supp phi + 2 kernel supports, one box wide at least."""
     pts = np.vstack([positions, phi.center[None, :]])
     pad = phi.support_radius() + 2.0 * kernel.padding_radius()
     grid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
     reach = kernel.padding_radius()
     lo = np.floor((np.min(positions, axis=0) - reach - grid.origin) / grid.spacing)
     hi = np.ceil((np.max(positions, axis=0) + reach - grid.origin) / grid.spacing)
-    return Grid(grid.origin + lo * grid.spacing, grid.spacing, hi - lo + 1)
+    return Grid(grid.origin + lo * grid.spacing, grid.spacing, hi - lo + 1).widened(reach)
 
 
 def error_term_z(

@@ -7,7 +7,8 @@ tolerance in use.  Every lattice is built by ``cover_points`` and every
 grid integral is a dot product with ``Grid.trapezoid_weights``; reductions are
 plain numpy sums (fixed pairwise-summation topology), so repeated runs are
 bit-reproducible.  The grid layer is written once for any dimension d; the
-box products serve the kernels' d <= 2.
+box products serve the kernels' d <= 2.  A particle touches its box of
+nodes (``Grid.window``), clamped onto the grid, so every box lies on it.
 
 ``write_csv`` is the one writer of every CSV artifact: Python scalars
 joined by ``str``, which for floats is the shortest round-trip repr, so
@@ -68,29 +69,29 @@ class Grid:
         return reduce(np.multiply.outer, per_axis).ravel()
 
     def window(self, points: np.ndarray, reach: float) -> Window:
-        """Each point's box of W = 2 ceil(reach/h) + 2 nodes per axis, which holds every node within reach of it.
+        """Each point's box of W = 2 ceil(reach/h) + 2 consecutive nodes per axis, which holds every node within reach of it.
 
-        When every box lies on the grid, the node indices need no clip and
-        the window keeps no mask; a box that overhangs the grid's edge is
-        clipped to the edge and masked.  Clip and mask do nothing on the
-        grid, so both cases give the same pairs, bit for bit.
+        A box starts ceil(reach/h) nodes below its point's node, clamped onto
+        the grid (its first node in [0, n_k - W]).  The nodes within reach lie
+        on the grid and in the unclamped box, so the clamped box holds them
+        too; the nodes the clamp pulls in lie beyond reach.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts.shape[1]
         c = int(np.ceil(reach / self.spacing))
-        base = np.floor((pts - self.origin) / self.spacing).astype(int)
-        idx = base[:, :, None] + np.arange(-c, c + 2)
+        w = 2 * c + 2
+        if min(self.shape) < w:
+            raise ValueError(f"grid of {self.shape} nodes is narrower than one box of {w} nodes per axis")
+        first = np.maximum(np.floor((pts - self.origin) / self.spacing).astype(int) - c, 0)
+        idx = np.minimum(first, np.subtract(self.shape, w))[:, :, None] + np.arange(w)
         off = self.spacing * idx
         off += self.origin[:, None]
         off -= pts[:, :, None]  # (N, d, W) node minus point per axis
-        strides = row_major_strides(self.shape)[:, None]
-        lo, hi = base.min(axis=0).tolist(), base.max(axis=0).tolist()
-        if all(c <= a and b + c + 1 < n for a, b, n in zip(lo, hi, self.shape)):  # every box lies on the grid
-            if d > 1:
-                idx *= strides
-            return Window(off, idx, None, self.shape, reach)
-        shape = np.asarray(self.shape)[:, None]
-        return Window(off, np.clip(idx, 0, shape - 1) * strides, (idx >= 0) & (idx < shape), self.shape, reach)
+        return Window(off, idx, self.shape, reach)
+
+    def widened(self, reach: float) -> Grid:
+        """This grid, or, where an axis has fewer nodes than one ``window`` box, grown to one box at its upper end, every node kept."""
+        w = 2 * int(np.ceil(reach / self.spacing)) + 2
+        return self if min(self.shape) >= w else replace(self, shape=tuple(max(n, w) for n in self.shape))
 
     def covers(self, points: np.ndarray, margin: float = 0.0) -> bool:
         """True when every point sits at least margin inside the box."""
@@ -113,20 +114,16 @@ BLOCK_PAIRS = 1 << 16
 class Window:
     """The particle<->grid pairs a kernel of finite reach touches: each point's box of nodes.
 
-    A pair counts when its node is on the grid and within reach of the
-    point: as a whole (``r2``, the ball of radius R) for a kernel evaluated
-    on squared distances, along every axis (``sq``, the box) for a separable
-    one.  Usually every box lies on the grid, and the window keeps no
-    mask (``inside`` is None).  When a box overhangs the grid's edge, its
-    nodes there are clipped to an edge index and masked: ``inside`` marks
-    the nodes on the grid, and ``sq`` and ``r2`` are inf at the others.
-    Only per-axis (N, d, W) arrays are kept; the (N, W^d) pairs are formed
-    when they are needed, at most BLOCK_PAIRS of them at once (``blocks``).
+    Every box is W consecutive nodes on the grid along each axis.  A pair
+    counts when its node is within reach of the point: as a whole (``r2``,
+    the ball of radius R) for a kernel evaluated on squared distances,
+    along every axis (``sq``, the box) for a separable one.  Only per-axis
+    (N, d, W) arrays are kept; the (N, W^d) pairs are formed when they are
+    needed, at most BLOCK_PAIRS of them at once (``blocks``).
     """
 
     off: np.ndarray  # (N, d, W) node minus point along each axis
-    at: np.ndarray  # (N, d, W) node index along each axis, clipped to the grid, times that axis's row-major stride
-    inside: np.ndarray | None  # (N, d, W) True where the node is on the grid along that axis; None when every box is
+    at: np.ndarray  # (N, d, W) node index along each axis, W consecutive ones on the grid
     shape: tuple  # the grid's node count per axis
     reach: float  # R: a pair beyond it (in r2, or along an axis in sq) does not count
 
@@ -136,43 +133,42 @@ class Window:
         step = max(1, BLOCK_PAIRS // w ** d)
         if step >= n:
             return [(slice(0, n), self)]
-        return [(rows, replace(self, off=self.off[rows], at=self.at[rows],
-                               inside=None if self.inside is None else self.inside[rows]))
+        return [(rows, replace(self, off=self.off[rows], at=self.at[rows]))
                 for rows in (slice(a, a + step) for a in range(0, n, step))]
 
     def lin(self) -> np.ndarray:
         """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes; in 1d a view of ``at``.
 
-        On the grid, a box is its first node's index plus one (W^d,) template
-        of the per-axis offsets stride_k · j.
+        A box is its first node's flat index plus one (W^d,) template of the
+        per-axis offsets stride_k · j.
         """
         n, d, w = self.at.shape
-        if d == 1 or self.inside is not None:
-            return box_sum(self.at)
-        return self.at[:, :, 0].sum(axis=1)[:, None] + box_sum(row_major_strides(self.shape)[None, :, None] * np.arange(w))
+        if d == 1:
+            return self.at[:, 0]
+        strides = row_major_strides(self.shape)
+        return (self.at[:, :, 0] @ strides)[:, None] + box_sum(strides[None, :, None] * np.arange(w))
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """(N, W^d) flat (G,) grid values at each point's box nodes, a new array.
 
-        On the grid (d > 1), each box is read from a strided (W, ..., W) view
-        of the grid at its first node, and no flat index is formed.
+        In d > 1, each box is read from a strided (W, ..., W) view of the
+        grid at its first node, and no flat index is formed.
         """
         n, d, w = self.at.shape
-        if d == 1 or self.inside is not None:
+        if d == 1:
             return values[self.lin()]
         boxes = sliding_window_view(values.reshape(self.shape), (w,) * d)
-        return boxes[tuple((self.at[:, :, 0] // row_major_strides(self.shape)).T)].reshape(n, -1)
+        return boxes[tuple(self.at[:, :, 0].T)].reshape(n, -1)
 
     def sq(self) -> np.ndarray:
-        """(N, d, W) squared offsets along each axis, inf where the node is off the grid or beyond reach along that axis; a new array."""
+        """(N, d, W) squared offsets along each axis, inf where the node is beyond reach along that axis; a new array."""
         sq = self.off * self.off
         sq[sq > self.reach * self.reach] = np.inf
-        return sq if self.inside is None else np.where(self.inside, sq, np.inf)
+        return sq
 
     def r2(self) -> np.ndarray:
-        """(N, W^d) squared distances from each point to its box nodes, inf off the grid or beyond reach; a new array."""
-        sq = self.off * self.off
-        r2 = box_sum(sq if self.inside is None else np.where(self.inside, sq, np.inf))
+        """(N, W^d) squared distances from each point to its box nodes, inf beyond reach; a new array."""
+        r2 = box_sum(self.off * self.off)
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
 
@@ -305,7 +301,8 @@ class QuadratureSpec:
     kernel's own numerical support radius, the radius the mollifier and
     the JKO coverage check rely on.  A fixed box may be pinned via
     domain=[lo, hi] per axis; runs then fail loudly if particles approach
-    the boundary instead of silently truncating integrals.
+    the boundary instead of silently truncating integrals.  Every grid is
+    at least one ``Grid.window`` box wide (``Grid.widened``).
     """
 
     h_over_eps: float | None = None
@@ -332,7 +329,7 @@ class QuadratureSpec:
         h = self.spacing(kernel)
         pts = np.atleast_2d(np.asarray(positions, dtype=float))
         if self.domain is None:
-            return cover_points(pts, pad, h)
+            return cover_points(pts, pad, h).widened(pad)
         dom = np.asarray(self.domain, dtype=float)
         if len(dom) != pts.shape[1]:
             raise ValueError(f"domain gives {len(dom)} axes for {pts.shape[1]}-dimensional positions")
@@ -342,7 +339,7 @@ class QuadratureSpec:
                 "quadrature domain too small: a particle sits within one kernel "
                 f"support radius ({pad:.4g}) of the boundary"
             )
-        return grid
+        return grid.widened(pad)
 
 
 # ---------------------------------------------------------------------------

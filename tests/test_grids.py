@@ -13,7 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from blobflow import grids
 from blobflow.energy import convolve_field
+from blobflow.errors import CoverageError
+from blobflow.fields import TestFunction, error_term_grid
 from blobflow.grids import Grid, GridField, QuadratureSpec, cover_points, write_csv
 from blobflow.kernels import MollifierSpec, value_on_pairs
 from blobflow.reference import BarenblattProfile
@@ -183,3 +186,66 @@ def test_cover_points_builds_the_acceptance_lattices():
         want = Grid(np.array([-4.0]), h, (int(round(2 * 4.0 / h)) + 1,))
         _same_lattice(cover_points(np.zeros((1, 1)), 4.0, h), want)
     _same_lattice(cover_points(np.zeros((1, 1)), 6.0, 0.02), Grid(np.array([-6.0]), 0.02, (601,)))
+
+
+def _box_nodes(kernel):
+    """W, the nodes per axis of one ``Grid.window`` box at the kernel's reach on its default spacing."""
+    return 2 * int(np.ceil(kernel.padding_radius() / QuadratureSpec().spacing(kernel))) + 2
+
+
+def _grown_from(grid, narrow):
+    """grid is narrow grown at its upper end to one box per axis: the origin and every node of narrow keep their bits."""
+    np.testing.assert_array_equal(grid.origin, narrow.origin)
+    assert grid.spacing == narrow.spacing and grid.shape != narrow.shape
+    for got, want in zip(grid.axes(), narrow.axes()):
+        np.testing.assert_array_equal(got[:len(want)], want)
+
+
+# bump, eps 0.25: h = 1/32 and R = 1/4, so a box is W = 18 nodes; [-R, R] holds 17, and one particle's auto grid too
+BUMP = MollifierSpec("bump", 1, 0.25)
+
+
+# with these test function widths the error-term crop is 2 ceil(R/h) + 1 nodes per axis, one short of a box
+@pytest.mark.parametrize("kernel, width", [(BUMP, 0.5), (MollifierSpec("gaussian", 2, 0.3), 0.3)], ids=["bump-1d", "gaussian-2d"])
+def test_one_particle_grids_are_grown_to_one_box(monkeypatch, kernel, width):
+    pos = np.full((1, kernel.d), 0.013)
+    phi = TestFunction("gaussian_bump", np.full(kernel.d, 0.2), width)
+    got = {"auto": QuadratureSpec().grid_for(pos, kernel), "error term": error_term_grid(pos, kernel, phi, QuadratureSpec())}
+    with monkeypatch.context() as mp:  # the grids as they are built, before they grow
+        mp.setattr(Grid, "widened", lambda self, reach: self)
+        narrow = {"auto": QuadratureSpec().grid_for(pos, kernel), "error term": error_term_grid(pos, kernel, phi, QuadratureSpec())}
+    for name, grid in got.items():
+        assert min(grid.shape) >= _box_nodes(kernel) > min(narrow[name].shape), name
+        _grown_from(grid, narrow[name])
+
+
+def test_a_pinned_domain_narrower_than_one_box_grows_after_its_coverage_check():
+    domain = [[-0.25, 0.25], [-1.0, 1.0]]
+    kernel = MollifierSpec("bump", 2, 0.25)
+    quad = QuadratureSpec(domain=domain)
+    grid = quad.grid_for(np.zeros((1, 2)), kernel)
+    narrow = cover_points(np.asarray(domain).T, 0.0, quad.spacing(kernel))
+    assert narrow.shape == (17, 65) and grid.shape == (_box_nodes(kernel), 65)
+    _grown_from(grid, narrow)
+    # 0.24 from the given hi, 0.27 from the grown grid's upper node: within R of the domain the user pinned
+    assert grid.covers(np.array([[0.01, 0.0]]), margin=kernel.padding_radius())
+    with pytest.raises(CoverageError):
+        quad.grid_for(np.array([[0.01, 0.0]]), kernel)
+
+
+def test_a_grid_one_box_wide_is_returned_as_it_is(monkeypatch):
+    # grid_for runs once per deposit: a wide grid must cost no dataclass replace
+    monkeypatch.setattr(grids, "replace", lambda *a, **k: pytest.fail("a wide grid was replaced"))
+    pos = np.linspace(-1.0, 1.0, 5)[:, None]
+    pinned = QuadratureSpec(domain=[[-2.0, 2.0]])
+    for quad in (QuadratureSpec(), pinned):
+        grid = quad.grid_for(pos, BUMP)
+        assert min(grid.shape) >= _box_nodes(BUMP) and grid.widened(BUMP.padding_radius()) is grid
+
+
+def test_window_refuses_a_grid_narrower_than_one_box():
+    # a box start below 0 would wrap in the strided view gather instead of failing
+    grid = Grid(np.zeros(2), 0.1, (21, 7))
+    with pytest.raises(ValueError, match="narrower than one box"):
+        grid.window(np.full((1, 2), 0.3), 0.25)
+    assert grid.widened(0.25).window(np.full((1, 2), 0.3), 0.25).at.shape == (1, 2, 8)

@@ -4,7 +4,9 @@ The energy, the velocity, the gridded fields and the error term all read
 the ``energy.Deposit`` that function builds, so a function anywhere else
 in the package that calls ``.window(`` is a second window->evaluate->deposit
 copy, and fails here.  The window cuts itself into row blocks
-(``Window.blocks``), so only ``grids`` knows the block size.
+(``Window.blocks``), so only ``grids`` knows the block size, and it forms
+the flat indices and gathers the boxes itself, so only ``grids`` knows how a
+window's node indices ``at`` are laid out.
 """
 import ast
 from pathlib import Path
@@ -42,4 +44,12 @@ def test_only_grids_reads_the_block_size():
             names |= {alias.name for alias in getattr(node, "names", ()) if isinstance(alias, ast.alias)}
             if "BLOCK_PAIRS" in names:
                 readers.add(path.stem)
+    assert readers == {"grids"}
+
+
+def test_only_grids_reads_a_windows_node_indices():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if any(isinstance(node, ast.Attribute) and node.attr == "at" for node in ast.walk(ast.parse(path.read_text()))):
+            readers.add(path.stem)
     assert readers == {"grids"}

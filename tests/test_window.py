@@ -1,12 +1,16 @@
 """The windowed particle<->grid core against the dense pair oracle.
 
 Every deposit and gather touches only each particle's window of
-W = 2 ceil(R/h) + 2 nodes per axis, R the kernel's reach.  The oracle here
-builds the dense (N, G, d) displacement tensor over every particle and
-grid node instead, evaluates the kernel on its squared distances, drops
-the pairs beyond R (the truncation the window applies: the per-axis box
-for the separable gaussian, the support ball for the bump), and reads F'
-only where the deposit is nonzero.
+W = 2 ceil(R/h) + 2 consecutive nodes per axis, R the kernel's reach, its
+box clamped onto the grid.  The dense oracle here builds the (N, G, d)
+displacement tensor over every particle and grid node instead, evaluates
+the kernel on its squared distances, drops the pairs beyond R (the
+truncation the window applies: the per-axis box for the separable
+gaussian, the support ball for the bump), and reads F' only where the
+deposit is nonzero.  The clip-and-mask oracle (``full_size_pairs``) keeps
+each box where its point puts it, clipping and masking the nodes off the
+grid; the clamped boxes must give its pairs within reach and its deposit,
+bit for bit.
 """
 import tracemalloc
 from functools import reduce
@@ -88,8 +92,8 @@ def cases(draw, grid_kinds=("auto", "slack", "pinned"), dims=(1, 2), families=("
     """A kernel, an energy, particles and a grid, the way the solvers build them.
 
     ``slack`` is the JKO step grid, evaluated at line-search trial points
-    that wander past it, so windows overhang the grid's edge; ``pinned`` is
-    a fixed box with one particle exactly one kernel reach from its edge.
+    that wander past it, so boxes are clamped at the grid's edge; ``pinned``
+    is a fixed box with one particle exactly one kernel reach from its edge.
     """
     d = draw(st.sampled_from(dims))
     kernel = MollifierSpec(draw(st.sampled_from(families)), d, draw(st.floats(0.2, 0.5)))
@@ -236,9 +240,8 @@ GATE_CASES = pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 40
 
 @GATE_CASES
 def test_window_alone_holds_less_than_one_pair_array(family, n):
-    # the window keeps per-axis (N, d, W) arrays only; every (rows, W^d) array is formed per row block.
-    # Both cases lie on the grid, so no mask is built: measured 0.091x (gaussian) and 0.293x (bump); the gates
-    # leave about 0.06x of headroom for numpy's temporaries.
+    # the window keeps per-axis (N, d, W) arrays only, and no mask; every (rows, W^d) array is formed per row block:
+    # measured 0.091x (gaussian) and 0.293x (bump); the gates leave about 0.06x of headroom for numpy's temporaries.
     kernel, pos = gate_case(family, n)
     grid = QuadratureSpec().grid_for(pos, kernel)
     peak = traced_peak(lambda: grid.window(pos, kernel.padding_radius()))
@@ -265,8 +268,8 @@ def test_error_term_deposit_holds_at_most_two_pair_arrays(monkeypatch, family, n
     grid = error_term_grid(pos, kernel, phi, QuadratureSpec())
     blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: error_term_z(ParticleEnsemble(pos), kernel, phi, grid))
-    # as for the velocity path: measured 0.623x (gaussian) and 1.766x (bump), under gates of 0.7x and 1.9x
-    assert peak <= {"gaussian": 0.7, "bump": 1.9}[family] * pair_nbytes(grid, pos, kernel)
+    # as for the velocity path: measured 0.603x (gaussian) and 1.766x (bump), under gates of 0.65x and 1.9x
+    assert peak <= {"gaussian": 0.65, "bump": 1.9}[family] * pair_nbytes(grid, pos, kernel)
 
 
 def blocked_run(monkeypatch, block_pairs, pos, kernel, model, grid, carry):
@@ -289,38 +292,47 @@ def test_row_blocks_give_the_bits_of_one_block(case, rows):
                 assert np.array_equal(got, want)
 
 
+def box_outer(op, a):
+    """The broadcast reduce the box fast paths replace: flat (n, W^d) outer op of per-axis (n, d, W) values over the box."""
+    n, d, _ = a.shape
+    return reduce(op, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+
+
 def full_size_pairs(grid, pos, reach):
-    """Flat lin and cut r2, (N, W^d) each, built whole as ``Grid.window`` built them before it went per row block,
-    clipping and masking every box; and whether every box lies on the grid (the mask is all True)."""
+    """The clip-and-mask oracle: flat lin and cut r2, (N, W^d) each, and cut per-axis sq, (N, d, W), built whole as
+    ``Grid.window`` built them before it went per row block and clamped its boxes.  Each box starts ceil(R/h) nodes
+    below its point's node, wherever that is; its nodes off the grid are clipped to an edge index and masked (inf)."""
     n, d = pos.shape
     c = int(np.ceil(reach / grid.spacing))
     idx = np.floor((pos - grid.origin) / grid.spacing).astype(int)[:, :, None] + np.arange(-c, c + 2)
     off = grid.origin[:, None] + grid.spacing * idx - pos[:, :, None]
     shape = np.asarray(grid.shape)[:, None]
-    inside = (idx >= 0) & (idx < shape)
-    sq = np.where(inside, off * off, np.inf)
+    sq = np.where((idx >= 0) & (idx < shape), off * off, np.inf)
     strides = np.array([prod(grid.shape[k + 1:]) for k in range(d)])
-
-    def box(a):
-        return [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]
-
-    lin = reduce(np.add, box(np.clip(idx, 0, shape - 1) * strides[:, None])).reshape(n, -1)
-    r2 = reduce(np.add, box(sq)).reshape(n, -1)
+    lin = box_outer(np.add, np.clip(idx, 0, shape - 1) * strides[:, None])
+    r2 = box_outer(np.add, sq)
     r2[r2 > reach * reach] = np.inf
-    return lin, r2, bool(np.all(inside))
+    sq[sq > reach * reach] = np.inf
+    return lin, r2, sq
+
+
+def pair_map(lin, r2, rows=slice(None)):
+    """{(row, flat node): r2} over the pairs within reach (r2 finite), rows numbered from rows.start."""
+    row, at = np.nonzero(np.isfinite(r2))
+    first = rows.start or 0
+    return dict(zip(zip((row + first).tolist(), lin[row, at].tolist()), r2[row, at].tolist()))
 
 
 @settings(max_examples=100)
 @given(cases(), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
 def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
-    # windows on the grid skip the clip and the mask; they must still give the clip-and-mask oracle's bits
+    # every box is clamped onto the grid; its pairs within reach must still be the clip-and-mask oracle's, bit for bit
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
-    want_lin, want_r2, on_grid = full_size_pairs(grid, pos, reach)
+    want_lin, want_r2, _ = full_size_pairs(grid, pos, reach)
     per_row = pairs_per_row(grid, pos, kernel)
     block_pairs = {"one row": 1, "k rows": k * per_row, "all rows": len(pos) * per_row}[size]
     win = grid.window(pos, reach)
-    assert (win.inside is None) == on_grid  # a mask exactly when some box overhangs the grid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "BLOCK_PAIRS", block_pairs)
         blocks = win.blocks()
@@ -330,24 +342,55 @@ def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
     for rows, blk in blocks:
         lin, r2 = blk.lin(), blk.r2()
         assert lin.shape == r2.shape == want_lin[rows].shape
-        assert np.array_equal(lin, want_lin[rows]) and np.array_equal(r2, want_r2[rows])
-        assert (blk.inside is None) == on_grid
-        assert not any(np.shares_memory(r2, a) for a in (win.off, win.at, win.inside) if a is not None)  # the caller owns r2
+        assert pair_map(lin, r2, rows) == pair_map(want_lin[rows], want_r2[rows], rows)
+        assert not any(np.shares_memory(r2, a) for a in (win.off, win.at))  # the caller owns r2
         if kernel.d == 1:  # one box axis to sum: lin is a view of the per-axis array, no new pair array
             assert np.shares_memory(lin, win.at)
 
 
-def box_outer(op, a):
-    """The broadcast reduce the box fast paths replace: flat (n, W^d) outer op of per-axis (n, d, W) values over the box."""
-    n, d, _ = a.shape
-    return reduce(op, [a[:, k].reshape((n,) + (1,) * k + (-1,) + (1,) * (d - k - 1)) for k in range(d)]).reshape(n, -1)
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_clamps_every_box_onto_the_grid(d):
+    # reach 0.25 on spacing 0.1: boxes of W = 8 nodes, from 3 below a point's node to 4 above it, clamped into 0..20
+    grid = grids.Grid(origin=np.zeros(d), spacing=0.1, shape=(21,) * d)
+    first = {1.05: 7, 0.25: 0, 1.75: 13, -5.0: 0, 5.0: 13}  # unclamped: 7, -1, 14, -53, 47
+    xs = np.array(list(first))
+    pos = np.stack(np.meshgrid(*[xs] * d, indexing="ij"), axis=-1).reshape(-1, d)  # on the grid, at both edges, far off
+    win = grid.window(pos, 0.25)
+    assert np.all((win.at >= 0) & (win.at < 21))
+    assert np.array_equal(win.at, win.at[:, :, :1] + np.arange(8))  # W consecutive nodes
+    assert np.array_equal(win.at[:, :, 0], np.vectorize(first.get)(pos))
+    want_lin, want_r2, _ = full_size_pairs(grid, pos, 0.25)
+    assert pair_map(win.lin(), win.r2()) == pair_map(want_lin, want_r2)
+
+
+def oracle_deposit(pos, kernel, grid, carry):
+    """Density and carried deposit through the clip-and-mask oracle: the pair values by the window's kernel route on its
+    masked offsets, summed onto its clipped flat indices by one bincount in row order."""
+    lin, r2, sq = full_size_pairs(grid, pos, kernel.padding_radius())
+    v = box_outer(np.multiply, axis_factors(kernel, sq)[0]) if kernel.separable else value_and_grad_factor(kernel, r2)[0]
+    size = prod(grid.shape)
+    density = np.bincount(lin.ravel(), weights=v.ravel(), minlength=size) / len(pos)
+    carried = [np.bincount(lin.ravel(), weights=(v * c[:, None]).ravel(), minlength=size) for c in carry.T]
+    return density, np.stack(carried, axis=-1)
+
+
+@settings(max_examples=100)
+@given(cases())
+def test_clamped_deposit_gives_the_bits_of_the_clip_and_mask_deposit(case):
+    # a clamped box holds the oracle's nonzero pairs on the same nodes in the same row order, and adding a 0.0 pair moves
+    # no sum; the velocity's box sums group their zero pairs differently, so it is held to the dense oracles' TOL only
+    kernel, _, pos, grid, _ = case
+    carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
+    dep = mollified_density(pos, kernel, grid, carry=carry)
+    want_density, want_carried = oracle_deposit(pos, kernel, grid, carry)
+    assert np.array_equal(dep.density, want_density) and np.array_equal(dep.carried, want_carried)
 
 
 @settings(max_examples=100)
 @given(cases(dims=(2,)), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
 def test_box_fast_paths_give_the_bits_of_the_broadcast_reduce(case, k, size):
-    # a block on the grid gathers through a strided view and indexes from one box template; one that overhangs
-    # gathers by lin.  Both must give the broadcast reduce's bits, as must the einsum pair products.
+    # a block gathers through a strided view and indexes from one box template; both must give the broadcast
+    # reduce's bits, as must the einsum pair products
     kernel, _, pos, grid, _ = case
     per_row = pairs_per_row(grid, pos, kernel)
     rng = np.random.default_rng(len(pos))
@@ -366,25 +409,13 @@ def test_box_fast_paths_give_the_bits_of_the_broadcast_reduce(case, k, size):
         mp.setattr(grids, "sliding_window_view", spy("view", grids.sliding_window_view))
         mp.setattr(grids.Window, "lin", spy("lin", grids.Window.lin))
         for _, blk in blocks:
-            lin = box_outer(np.add, blk.at)
+            lin = box_outer(np.add, blk.at * grids.row_major_strides(grid.shape)[:, None])
             routes.clear()
             assert np.array_equal(blk.gather(wf), wf[lin])
-            assert routes == (["view"] if blk.inside is None else ["lin"])
+            assert routes == ["view"]
             assert np.array_equal(blk.lin(), lin)
             f = rng.uniform(size=blk.off.shape)
             assert np.array_equal(blk.product(f), box_outer(np.multiply, f))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_window_keeps_a_mask_only_when_a_box_overhangs_the_grid(d):
-    # reach 0.25 on spacing 0.1: boxes of W = 8 nodes, from 3 below a point's node to 4 above it
-    grid = grids.Grid(origin=np.zeros(d), spacing=0.1, shape=(21,) * d)
-    for x, on_grid in ((1.05, True), (0.25, False), (1.75, False)):  # nodes 7..14, -1..6, 14..21 of 0..20
-        pos = np.full((1, d), x)
-        win = grid.window(pos, 0.25)
-        want_lin, want_r2, want_on_grid = full_size_pairs(grid, pos, 0.25)
-        assert want_on_grid == on_grid and (win.inside is None) == on_grid
-        assert np.array_equal(win.lin(), want_lin) and np.array_equal(win.r2(), want_r2)
 
 
 def value_and_grad_factor_with_v_over_r2(spec, r2):
