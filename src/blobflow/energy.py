@@ -97,18 +97,17 @@ class Deposit:
     """One state's V_eps * rho^N on a grid, with what the velocity gathers through.
 
     The energy reads ``density``, the velocity gathers F'(density) back
-    through ``pairs``, and the error term reads ``carried``.  Each row
-    block keeps its ``Window`` and its gradient data: a separable kernel's
-    per-axis (v, g), (rows, d, W) each and 0.0 beyond reach along their
-    axis, so the gather cuts the same box (v is None in 1d, where the
-    gather does not read it), or the bump's (rows, W^d) g_eps, the one
-    full-size pair array kept.  The V_eps pair values are dead once
-    deposited.
+    through ``pairs``, and the error term reads ``carried``.  The 2d
+    gaussian keeps its whole ``Window`` and per-axis (v, g), (N, 2, W) each
+    and 0.0 beyond reach along their axis; its dense (N, n_k) rows are
+    formed block by block and let go.  Otherwise each row block keeps its
+    ``Window`` and its (rows, W^d) g_eps, the bump's the one full-size pair
+    array kept.  The V_eps values are dead once deposited.
     """
 
     grid: Grid
     kernel: MollifierSpec
-    pairs: tuple  # per row block (``Window.blocks``), (its Window, per-axis (v, g) if kernel.separable else g_eps(|node - x|^2))
+    pairs: tuple  # ((window, (v, g)),) for the 2d gaussian, else per row block (``Window.blocks``) (its Window, g_eps)
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
@@ -117,23 +116,30 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
-    (``Deposit.carried``).  The particles are evaluated in the window's row
-    blocks, by the route ``kernels`` gives the family, and each block's
-    V_eps is deposited onto the sums so far and let go.
+    (``Deposit.carried``).  The 2d gaussian is deposited by matrix products
+    of its per-axis factors (``Window.deposit_axes``); otherwise the
+    particles are evaluated in the window's row blocks, by the route
+    ``kernels`` gives the family, and each block's V_eps is deposited onto
+    the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     cols = () if carry is None else carry.T
-    density, carried, pairs = None, [None] * len(cols), []
-    for rows, blk in grid.window(pos, kernel.padding_radius()).blocks():
-        if kernel.separable:
-            v, g = axis_factors(kernel, blk.sq())
-            grad = (v if kernel.d > 1 else None, g)  # the gather reads v along the other axes only; in 1d there are none
-            v = blk.product(v)
-        else:
-            v, grad = value_and_grad_factor(kernel, blk.r2())
-        pairs.append((blk, grad))
-        carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
-        density = blk.deposit(v, density)
+    win = grid.window(pos, kernel.padding_radius())
+    if kernel.separable and kernel.d == 2:
+        v, g = axis_factors(kernel, win.sq())
+        density, *carried = win.deposit_axes(v, cols)
+        pairs = ((win, (v, g)),)
+    else:
+        density, carried, pairs = None, [None] * len(cols), []
+        for rows, blk in win.blocks():
+            if kernel.separable:  # in 1d the gaussian's one axis factors are V_eps and g_eps
+                v, grad = axis_factors(kernel, blk.sq())
+                v, grad = v[:, 0], grad[:, 0]
+            else:
+                v, grad = value_and_grad_factor(kernel, blk.r2())
+            pairs.append((blk, grad))
+            carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
+            density = blk.deposit(v, density)
     return Deposit(grid, kernel, tuple(pairs), density / len(pos), None if carry is None else np.stack(carried, axis=-1))
 
 
@@ -158,7 +164,7 @@ def regularized_energy(
 
 def energy_on_grid(dep: Deposit, model: EnergyModel) -> float:
     """E_eps of a deposited ensemble on its grid."""
-    return float(np.dot(dep.grid.trapezoid_weights(), model.f_eval(dep.density)))
+    return dep.grid.integrate(model.f_eval(dep.density))
 
 
 # Lattice convolution method per dimension: direct sums on a line (numpy's

@@ -145,7 +145,7 @@ def error_term_z(
     dep = mollified_density(ens.positions, kernel, grid, carry=gp_part)  # carried: N V_eps * (rho grad phi)
     z = dep.carried / ens.n - dep.density[:, None] * gp_node
     znorm = np.sqrt(np.sum(z * z, axis=-1))
-    l1 = float(np.dot(grid.trapezoid_weights(), znorm))
+    l1 = grid.integrate(znorm)
     mom = kernel_moments(kernel)
     bound = phi.sup_hess() * mom.m1
     ptwise = bool(np.all(znorm <= 2.0 * phi.sup_grad() * dep.density + 1e-12 * mom.sup_v))

@@ -4,9 +4,9 @@ Convolution-type integrals all run on uniform grids whose spacing is tied
 to the kernel width (the integrands' length scale is eps), with the domain
 padded by the kernel's numerical support so truncation sits below every
 tolerance in use.  Every lattice is built by ``cover_points`` and every
-grid integral is a dot product with ``Grid.trapezoid_weights``; reductions are
-plain numpy sums (fixed pairwise-summation topology), so repeated runs are
-bit-reproducible.  The grid layer is written once for any dimension d; the
+grid integral is ``Grid.integrate``; reductions are plain numpy sums or
+products sized to run on one BLAS thread, so repeated runs are bit-
+reproducible.  The grid layer is written once for any dimension d; the
 box products serve the kernels' d <= 2.  A particle touches its box of
 nodes (``Grid.window``), clamped onto the grid, so every box lies on it.
 
@@ -26,6 +26,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CoverageError
+
+
+# The most terms in one dot product of ``Grid.integrate``: OpenBLAS splits a
+# longer one over threads, which changes its bits.  Every 1d grid in use is one.
+DOT_TERMS = 10000
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,13 @@ class Grid:
             per_axis.append(w)
         return reduce(np.multiply.outer, per_axis).ravel()
 
+    def integrate(self, values) -> float:
+        """Trapezoid integral of an array of node values: dot products with ``trapezoid_weights``, DOT_TERMS nodes at a time, summed in order."""
+        w, v = self.trapezoid_weights(), values.ravel()
+        if len(w) <= DOT_TERMS:  # one product, without the per-piece cost that thousands of small JKO calls would see
+            return float(np.dot(w, v))
+        return float(sum(np.dot(w[i:i + DOT_TERMS], v[i:i + DOT_TERMS]) for i in range(0, len(w), DOT_TERMS)))
+
     def window(self, points: np.ndarray, reach: float) -> Window:
         """Each point's box of W = 2 ceil(reach/h) + 2 consecutive nodes per axis, which holds every node within reach of it.
 
@@ -104,10 +116,15 @@ class Grid:
 
 # The most pairs in one row block of a window.  The pairs are formed, the
 # kernel evaluated and the velocity gathered one block at a time, so the
-# bump's factors g_eps are the one full-size pair array a deposit keeps (a
-# separable kernel keeps per-axis factors only).  2**16 pairs is 0.5 MB of
-# float64, and every 1d workload fits in one block.
+# bump's factors g_eps are the one full-size pair array a deposit keeps.
+# 2**16 pairs is 0.5 MB of float64, and every 1d workload fits in one block.
 BLOCK_PAIRS = 1 << 16
+
+# The most multiply-adds in one matrix product of ``Window.deposit_axes`` and
+# ``contract_axes``, up to the 31/16 a tile allows: OpenBLAS runs fewer than
+# 2 * 2**18 on one thread and splits a larger product over threads, which
+# changes its bits.  Their chunks hold 0.25 MB of dense rows on a square grid.
+PRODUCT_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -172,18 +189,6 @@ class Window:
         r2[r2 > self.reach * self.reach] = np.inf
         return r2
 
-    def product(self, f: np.ndarray) -> np.ndarray:
-        """(N, W^d) products over each box of per-axis (N, d, W) factors; in 1d a view of f.
-
-        The factors must be 0.0 where ``sq`` is inf, so a pair beyond reach
-        along any axis is 0.0: the cut is the box.  In 2d the products are
-        one einsum over the box.
-        """
-        n, d, _ = f.shape
-        if d == 1:
-            return f[:, 0]
-        return np.einsum("ia,ib->iab", f[:, 0], f[:, 1]).reshape(n, -1)
-
     def deposit(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat (G,) sums per node of the (N, W^d) pair values.
 
@@ -198,31 +203,76 @@ class Window:
         np.add.at(out, lin, values.ravel())
         return out
 
+    def axis_rows(self, f: np.ndarray, k: int, rows: slice) -> np.ndarray:
+        """Dense (n, ..., n_k) rows of the values f (n, ..., W) on the box nodes along axis k of the points in rows, 0.0 elsewhere."""
+        dense = np.zeros(f.shape[:-1] + (self.shape[k],))
+        first = self.at[rows, k, 0].reshape((-1,) + (1,) * (f.ndim - 2))
+        sliding_window_view(dense, f.shape[-1], axis=-1, writeable=True)[(*np.indices(f.shape[:-1], sparse=True), first)] = f
+        return dense
 
-def contract(off: np.ndarray, values: np.ndarray, factors: tuple | None = None) -> np.ndarray:
+    def deposit_axes(self, v: np.ndarray, weights=()) -> list:
+        """Flat (G,) sums per node of the box products v_0 v_1 of per-axis (N, 2, W) factors, then of those times each (N,) weight.
+
+        The factors go into dense rows A_k per axis (``axis_rows``), and the
+        sums are A_0^T A_1, a weight scaling A_0's rows: over chunks of
+        PRODUCT_MACS / (16 n_1) points, added in row order, one matrix product
+        per ``tiles`` of A_0^T's rows.  That is N G multiply-adds in place of
+        N W^2 pair products, yet BLAS makes it and ``contract_axes`` faster
+        than the pairs up to G / W^2 of about 20 (N = 400, W = 66, one core).
+        """
+        (n0, n1), step, cut = self.shape, max(1, PRODUCT_MACS // (16 * self.shape[1])), tiles(self.shape[0])
+        sums = [np.zeros((n0, n1)) for _ in range(1 + len(weights))]
+        for rows in (slice(a, a + step) for a in range(0, len(v), step)):
+            a0, a1 = self.axis_rows(v[rows, 0], 0, rows), self.axis_rows(v[rows, 1], 1, rows)
+            for acc, c in zip(sums, (None, *weights)):
+                a0t = (a0 if c is None else a0 * c[rows, None]).T
+                for t in cut:
+                    acc[t] += a0t[t] @ a1
+        return [acc.ravel() for acc in sums]
+
+    def contract_axes(self, values: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """(N, 2) sums over each box of (node - point)_k g_k v_j times the flat (G,) grid values, j the other axis.
+
+        A point's two dense rows along axis 0 (``axis_rows``), of off_0 g_0
+        and of v_0, times the (n_0, n_1) values sum them along axis 0 with
+        either weight: for chunks of PRODUCT_MACS / (32 n_0) points, one
+        matrix product per ``tiles`` of the values' columns.  Both sums are
+        read on the point's box along axis 1 and summed there against v_1
+        (component 0) or off_1 g_1 (component 1).
+        """
+        (n0, n1), step, cut = self.shape, max(1, PRODUCT_MACS // (32 * self.shape[0])), tiles(self.shape[1])
+        grid, out = values.reshape(n0, n1), np.empty((len(v), 2))
+        for rows in (slice(a, a + step) for a in range(0, len(v), step)):
+            a0 = self.axis_rows(np.stack([self.off[rows, 0] * g[rows, 0], v[rows, 0]], axis=1), 0, rows).reshape(-1, n0)
+            sums = np.empty((len(a0), n1))
+            for t in cut:
+                np.matmul(a0, grid[:, t], out=sums[:, t])
+            box = np.take_along_axis(sums.reshape(-1, 2, n1), self.at[rows, None, 1], axis=2)
+            np.einsum("nw,nw->n", box[:, 0], v[rows, 1], out=out[rows, 0])
+            np.einsum("nw,nw->n", box[:, 1], self.off[rows, 1] * g[rows, 1], out=out[rows, 1])
+        return out
+
+
+def tiles(n: int) -> list:
+    """Consecutive slices of 16 to 31 of range(n), or one slice when n < 32.  Each matrix product of the per-axis route
+    takes one tile against a chunk of PRODUCT_MACS / 16 multiply-adds per tile row: at most 31/16 PRODUCT_MACS, under
+    OpenBLAS's one-thread bound, and never a single row, which numpy would hand to gemv instead."""
+    m = max(1, n // 16)
+    return [slice(i * n // m, (i + 1) * n // m) for i in range(m)]
+
+
+def contract(off: np.ndarray, values: np.ndarray) -> np.ndarray:
     """(n, d) sums over each box of (node - point) along each axis times the (n, W^d) pair values.
 
     Axis k sums the values over the other box axes first, then weighs them
-    by ``off[:, k]``, so no (n, W^d, d) array is built.  With the per-axis
-    factors (v, g) of a product profile (``kernels.axis_factors``), the sum
-    over the other axis weighs the values by v along it, and the result is
-    weighed by g along k: the gradient of v_0(y_0) v_1(y_1) along k is
-    y_k g_k(y_k) v_j(y_j).  In 1d there are no other axes, and the values
-    go in as they are; with factors, g is multiplied into them in place.
+    by ``off[:, k]``, so no (n, W^d, d) array is built.  In 1d there are no
+    other axes, and the values go in as they are.
     """
     n, d, w = off.shape
     box = values.reshape((n,) + (w,) * d)
-    if d == 1:
-        sums = [values]
-    elif factors is None:
-        sums = [box.sum(axis=2), box.sum(axis=1)]
-    else:
-        v = factors[0]
-        sums = [(box @ v[:, 1, :, None])[..., 0], (v[:, 0, None, :] @ box)[:, 0]]
+    sums = [values] if d == 1 else [box.sum(axis=2), box.sum(axis=1)]
     out = np.empty((n, d))
     for k, s in enumerate(sums):
-        if factors is not None:
-            s *= factors[1][:, k]
         np.einsum("nw,nw->n", off[:, k], s, out=out[:, k])
     return out
 
@@ -274,8 +324,7 @@ class GridField:
 
     def integrate(self, integrand: np.ndarray | None = None) -> float:
         """Trapezoid integral of integrand (default: the field itself)."""
-        v = self.values if integrand is None else integrand
-        return float(np.dot(self.grid.trapezoid_weights(), np.ravel(v)))
+        return self.grid.integrate(self.values if integrand is None else integrand)
 
     def mass(self) -> float:
         return self.integrate()

@@ -13,8 +13,8 @@ A smoothing kernel of width ``eps`` is generated from a unit profile by
 Both profiles are nonnegative, even, mass one, with finite second moment
 and integrable gradient.  The gaussian is also separable: ``V_eps(x) =
 prod_k V^1_eps(x_k)``, a product of 1d profiles, so the particle<->grid
-pairs evaluate it once per axis (``axis_factors``) and form each pair as a
-product.  Its truncation is per axis too: a pair counts when every
+paths evaluate it once per axis (``axis_factors``) and multiply the axes
+(in 2d as matrix products).  Its truncation is per axis: a pair counts when every
 ``|x_k| <= 8 eps``, a box that leaves at most ``2 d Q(8)`` of the mass
 outside (``Q`` the normal tail; 2.5e-15 in d = 2).  The bump is not a
 product and is evaluated on each pair's squared distance

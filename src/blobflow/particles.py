@@ -11,9 +11,9 @@ density is one ``energy.Deposit`` over each particle's box of grid nodes
 (``grids.Window``), and the velocity is gathered back through the same
 row blocks: each block reads F' w on its boxes (``Window.gather``) and
 sums the node-minus-particle offsets times the kernel's gradient factors
-one axis at a time (``grids.contract``), in O(N W^d) time and memory
-however large the grid.  ``kernels`` describes how each family is
-evaluated.
+one axis at a time (``grids.contract``), in O(N W^d) time and memory.
+The 2d gaussian instead gathers by matrix products of dense per-axis
+rows (``Window.contract_axes``).  ``kernels`` describes the families.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -87,7 +87,8 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
 
     F' is read only where the deposit is nonzero: nothing else is gathered,
     and the entropy's F' is undefined at zero density.  The gather walks
-    the deposit's row blocks, so no full-size pair array is built.
+    the deposit's row blocks, or for the 2d gaussian its dense (rows, n_k)
+    rows per axis chunk by chunk, so no full-size pair array is built.
     """
     wf = np.zeros_like(dep.density)
     held = dep.density != 0.0
@@ -95,10 +96,10 @@ def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
     # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2), or per axis for a separable kernel
     vel = []
     for blk, grad in dep.pairs:
-        box = blk.gather(wf)
-        if dep.kernel.separable:
-            vel.append(contract(blk.off, box, grad))
+        if isinstance(grad, tuple):  # the 2d gaussian's per-axis (v, g)
+            vel.append(blk.contract_axes(wf, *grad))
         else:
+            box = blk.gather(wf)
             box *= grad
             vel.append(contract(blk.off, box))
     return np.concatenate(vel)

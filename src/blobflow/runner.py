@@ -13,7 +13,6 @@ import dataclasses
 import json
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -311,6 +310,8 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
             "z_eps_l1": error_term_z(final, kernel, phi, error_term_grid(final.positions, kernel, phi, quad)).l1_norm,
             "w2_initial_vs_density": w2(initial, dens.quantile_ensemble(n)),
         }
+
+    from concurrent.futures import ThreadPoolExecutor  # only converge runs rungs in threads; no run pays for the import
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         table = dict(pool.map(rung, [(eps, n) for eps in eps_list for n in n_list]))

@@ -105,13 +105,17 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
-    """W2 of the optimal assignment on the squared-distance cost, built one axis at a time (no (N, N, d) array)."""
+    """W2 of the optimal assignment on the squared-distance cost, built one axis at a time (no (N, N, d) array):
+    each axis after the first is added on in row chunks of at most 2**14 entries, so no second (N, N) array is held."""
     a, b = _pos(a), _pos(b)
-    cost = None
-    for k in range(a.shape[1]):
-        gap = np.subtract.outer(a[:, k], b[:, k])
-        gap *= gap
-        cost = gap if cost is None else np.add(cost, gap, out=cost)
+    cost = np.subtract.outer(a[:, 0], b[:, 0])
+    cost *= cost
+    step = max(1, (1 << 14) // len(b))
+    for k in range(1, a.shape[1]):
+        for i in range(0, len(a), step):
+            gap = np.subtract.outer(a[i:i + step, k], b[:, k])
+            gap *= gap
+            cost[i:i + step] += gap
     cols = linear_assignment(cost)
     return float(np.sqrt(cost[np.arange(cost.shape[0]), cols].mean()))
 

@@ -41,6 +41,13 @@ def test_package_import_loads_no_heavy_scipy():
     assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
+def test_runner_import_loads_no_thread_pool():
+    # only converge runs its rungs in a thread pool, so only converge imports concurrent.futures
+    loaded = _fresh("import json, sys, blobflow.runner; print(json.dumps(sorted(sys.modules)))")
+    assert "blobflow.runner" in loaded
+    assert [m for m in loaded if m.startswith("concurrent")] == []
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_validating_a_particle_config_loads_no_heavy_scipy(d):
     density = {"kind": "barenblatt", "m": 2.0}

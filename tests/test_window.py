@@ -197,10 +197,40 @@ def test_error_term_carries_v_times_grad_phi_exactly(case, family):
         mp.setattr(fields, "mollified_density", recording)
         error_term_z(ParticleEnsemble(pos), kernel, phi, grid)
     win = grid.window(pos, kernel.padding_radius())
-    v = win.product(axis_factors(kernel, win.sq())[0]) if kernel.separable else value_and_grad_factor(kernel, win.r2())[0]
     gp = phi.grad(pos).reshape(len(pos), -1)
     [dep] = deposits
-    assert np.array_equal(dep.carried, np.stack([win.deposit(v * gp[:, k, None]) for k in range(kernel.d)], axis=-1))
+    if kernel.separable and kernel.d == 2:  # carried column k is the route's sum of (A_0 gp_k)^T A_1 over its pieces
+        a0, a1 = axis_rows(win.at, axis_factors(kernel, win.sq())[0], grid.shape)
+        want = [axes_sum(a0, a1, grid, gp[:, k]) for k in range(2)]
+    else:
+        v = axis_factors(kernel, win.sq())[0][:, 0] if kernel.separable else value_and_grad_factor(kernel, win.r2())[0]
+        want = [win.deposit(v * gp[:, k, None]) for k in range(kernel.d)]
+    assert np.array_equal(dep.carried, np.stack(want, axis=-1))
+
+
+def axis_rows(at, f, shape, add=False):
+    """Dense (N, n_k) rows per axis of the per-axis (N, d, W) values f on the node indices at; with add, by np.add.at,
+    so that repeated (clipped) indices add their values."""
+    rows = [np.zeros((len(f), n)) for n in shape]
+    for k, a in enumerate(rows):
+        if add:
+            np.add.at(a, (np.arange(len(f))[:, None], at[:, k]), f[:, k])
+        else:
+            np.put_along_axis(a, at[:, k], f[:, k], axis=1)
+    return rows
+
+
+def axes_sum(a0, a1, grid, c=None):
+    """Flat sums of (A_0 c)^T A_1 over chunks of PRODUCT_MACS / (16 n_1) rows added in row order, one product per tile
+    of A_0^T's rows: the 2d gaussian's deposit, bit for bit."""
+    step = max(1, grids.PRODUCT_MACS // (16 * grid.shape[1]))
+    acc = np.zeros(grid.shape)
+    for a in range(0, len(a0), step):
+        rows = slice(a, a + step)
+        a0t = (a0[rows] if c is None else a0[rows] * c[rows, None]).T
+        for t in grids.tiles(grid.shape[0]):
+            acc[t] += a0t[t] @ a1[rows]
+    return acc.ravel()
 
 
 def traced_peak(fn):
@@ -241,11 +271,11 @@ GATE_CASES = pytest.mark.parametrize("family, n", [("gaussian", 64), ("bump", 40
 @GATE_CASES
 def test_window_alone_holds_less_than_one_pair_array(family, n):
     # the window keeps per-axis (N, d, W) arrays only, and no mask; every (rows, W^d) array is formed per row block:
-    # measured 0.091x (gaussian) and 0.293x (bump); the gates leave about 0.06x of headroom for numpy's temporaries.
+    # measured 0.091x (gaussian) and 0.293x (bump), under gates of 0.11x and 0.35x (about 0.02x and 0.06x of headroom)
     kernel, pos = gate_case(family, n)
     grid = QuadratureSpec().grid_for(pos, kernel)
     peak = traced_peak(lambda: grid.window(pos, kernel.padding_radius()))
-    assert peak <= {"gaussian": 0.15, "bump": 0.35}[family] * pair_nbytes(grid, pos, kernel)
+    assert peak <= {"gaussian": 0.11, "bump": 0.35}[family] * pair_nbytes(grid, pos, kernel)
 
 
 @GATE_CASES
@@ -255,10 +285,10 @@ def test_velocity_path_holds_at_most_two_pair_arrays(monkeypatch, family, n):
     grid = QuadratureSpec().grid_for(pos, kernel)
     blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: velocity_on_grid(mollified_density(pos, kernel, grid), model))
-    # the bump keeps its g_eps through the gather; the gaussian keeps per-axis factors only, so its peak is a few
-    # eighth-size blocks, one fewer since its gather reads each box through a strided view and forms no flat
-    # indices: measured 0.416x (gaussian) and 1.613x (bump), under gates of 0.45x and 1.75x
-    assert peak <= {"gaussian": 0.45, "bump": 1.75}[family] * pair_nbytes(grid, pos, kernel)
+    # the bump keeps its g_eps through the gather and forms its pairs per eighth-size block; the gaussian keeps per-axis
+    # factors only and forms no pair, only dense (rows, n_k) rows per axis and grid-sized sums: measured 0.343x
+    # (gaussian) and 1.613x (bump), under gates of 0.38x (about 0.04x of headroom) and 1.75x
+    assert peak <= {"gaussian": 0.38, "bump": 1.75}[family] * pair_nbytes(grid, pos, kernel)
 
 
 @GATE_CASES
@@ -268,8 +298,22 @@ def test_error_term_deposit_holds_at_most_two_pair_arrays(monkeypatch, family, n
     grid = error_term_grid(pos, kernel, phi, QuadratureSpec())
     blocks_of_an_eighth(monkeypatch, grid, pos, kernel)
     peak = traced_peak(lambda: error_term_z(ParticleEnsemble(pos), kernel, phi, grid))
-    # as for the velocity path: measured 0.603x (gaussian) and 1.766x (bump), under gates of 0.65x and 1.9x
-    assert peak <= {"gaussian": 0.65, "bump": 1.9}[family] * pair_nbytes(grid, pos, kernel)
+    # as for the velocity path: measured 0.312x (gaussian) and 1.766x (bump), under gates of 0.35x (about 0.04x of
+    # headroom) and 1.9x
+    assert peak <= {"gaussian": 0.35, "bump": 1.9}[family] * pair_nbytes(grid, pos, kernel)
+
+
+def test_wide_grid_gaussian_holds_dense_rows_not_pairs():
+    # on a pinned grid of 161 nodes per axis the 2d gaussian holds the window's (N, d, W) arrays, dense (rows, n_k) rows
+    # per axis for a chunk of points, and a few grid-sized sums: measured 3.12x (velocity path) and 4.80x (error term,
+    # two carried columns) of N (n_0 + n_1) float64, under gates of 3.5x and 5.2x; one (N, W^2) pair array is 13.5x
+    kernel, pos = gate_case("gaussian", 256)
+    grid = QuadratureSpec(domain=[[-4.0, 4.0]] * 2).grid_for(pos, kernel)
+    model, phi = EnergyModel("power", 2.0), TestFunction("poly_bump", np.full(2, 0.05), 0.3)
+    unit = len(pos) * sum(grid.shape) * np.dtype(float).itemsize
+    assert traced_peak(lambda: velocity_on_grid(mollified_density(pos, kernel, grid), model)) <= 3.5 * unit
+    assert traced_peak(lambda: error_term_z(ParticleEnsemble(pos), kernel, phi, grid)) <= 5.2 * unit
+    assert 5.2 * unit < pair_nbytes(grid, pos, kernel) / 2
 
 
 def blocked_run(monkeypatch, block_pairs, pos, kernel, model, grid, carry):
@@ -292,6 +336,36 @@ def test_row_blocks_give_the_bits_of_one_block(case, rows):
                 assert np.array_equal(got, want)
 
 
+@settings(max_examples=60)
+@given(cases(dims=(2,), families=("gaussian",)), st.integers(1, 3))
+def test_per_axis_products_give_the_bits_of_their_chunks(case, step):
+    # PRODUCT_MACS cut so that the deposit takes `step` points per chunk and the gather about half as many: the deposit
+    # is the sum of (A_0 c)^T A_1 over those chunks in row order, bit for bit, and the velocity keeps the dense TOL
+    kernel, model, pos, grid, _ = case
+    carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grids, "PRODUCT_MACS", step * 16 * grid.shape[1])
+        dep = mollified_density(pos, kernel, grid, carry=carry)
+        win = grid.window(pos, kernel.padding_radius())
+        a0, a1 = axis_rows(win.at, axis_factors(kernel, win.sq())[0], grid.shape)
+        assert np.array_equal(dep.density, axes_sum(a0, a1, grid) / len(pos))
+        assert np.array_equal(dep.carried, np.stack([axes_sum(a0, a1, grid, c) for c in carry.T], axis=-1))
+        got = velocity_on_grid(mollified_density(pos, kernel, grid), model)
+    vel, scale = dense_velocity(pos, kernel, model, grid)
+    assert np.all(np.sqrt(np.sum((got - vel) ** 2, axis=1)) <= TOL * scale)
+
+
+@pytest.mark.parametrize("n", [4, 15, 16, 31, 32, 33, 63, 156, 161])
+def test_tiles_cut_an_axis_into_16_to_31_rows(n):
+    # a product takes one tile of rows against a chunk of PRODUCT_MACS / (16 n_k) rows: at most 31/16 PRODUCT_MACS
+    # multiply-adds, under OpenBLAS's one-thread bound of 2 * 2**18, and never a single row, which numpy would hand
+    # to gemv
+    cut = grids.tiles(n)
+    assert np.array_equal(np.concatenate([np.arange(n)[t] for t in cut]), np.arange(n))
+    assert all(16 <= t.stop - t.start <= 31 for t in cut) or (n < 32 and len(cut) == 1)
+    assert 31 * grids.PRODUCT_MACS // 16 < 2 << 18
+
+
 def box_outer(op, a):
     """The broadcast reduce the box fast paths replace: flat (n, W^d) outer op of per-axis (n, d, W) values over the box."""
     n, d, _ = a.shape
@@ -299,7 +373,8 @@ def box_outer(op, a):
 
 
 def full_size_pairs(grid, pos, reach):
-    """The clip-and-mask oracle: flat lin and cut r2, (N, W^d) each, and cut per-axis sq, (N, d, W), built whole as
+    """The clip-and-mask oracle: flat lin and cut r2, (N, W^d) each, and cut per-axis sq and clipped node indices,
+    (N, d, W) each, built whole as
     ``Grid.window`` built them before it went per row block and clamped its boxes.  Each box starts ceil(R/h) nodes
     below its point's node, wherever that is; its nodes off the grid are clipped to an edge index and masked (inf)."""
     n, d = pos.shape
@@ -313,7 +388,7 @@ def full_size_pairs(grid, pos, reach):
     r2 = box_outer(np.add, sq)
     r2[r2 > reach * reach] = np.inf
     sq[sq > reach * reach] = np.inf
-    return lin, r2, sq
+    return lin, r2, sq, np.clip(idx, 0, shape - 1)
 
 
 def pair_map(lin, r2, rows=slice(None)):
@@ -329,7 +404,7 @@ def test_each_row_block_forms_the_rows_of_the_full_size_pairs(case, k, size):
     # every box is clamped onto the grid; its pairs within reach must still be the clip-and-mask oracle's, bit for bit
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
-    want_lin, want_r2, _ = full_size_pairs(grid, pos, reach)
+    want_lin, want_r2, *_ = full_size_pairs(grid, pos, reach)
     per_row = pairs_per_row(grid, pos, kernel)
     block_pairs = {"one row": 1, "k rows": k * per_row, "all rows": len(pos) * per_row}[size]
     win = grid.window(pos, reach)
@@ -359,14 +434,18 @@ def test_window_clamps_every_box_onto_the_grid(d):
     assert np.all((win.at >= 0) & (win.at < 21))
     assert np.array_equal(win.at, win.at[:, :, :1] + np.arange(8))  # W consecutive nodes
     assert np.array_equal(win.at[:, :, 0], np.vectorize(first.get)(pos))
-    want_lin, want_r2, _ = full_size_pairs(grid, pos, 0.25)
+    want_lin, want_r2, *_ = full_size_pairs(grid, pos, 0.25)
     assert pair_map(win.lin(), win.r2()) == pair_map(want_lin, want_r2)
 
 
 def oracle_deposit(pos, kernel, grid, carry):
     """Density and carried deposit through the clip-and-mask oracle: the pair values by the window's kernel route on its
-    masked offsets, summed onto its clipped flat indices by one bincount in row order."""
-    lin, r2, sq = full_size_pairs(grid, pos, kernel.padding_radius())
+    masked offsets, summed onto its clipped flat indices by one bincount in row order; for the 2d gaussian, its per-axis
+    factors added into dense rows on its clipped nodes (a masked node adds 0.0), summed as the route sums them."""
+    lin, r2, sq, idx = full_size_pairs(grid, pos, kernel.padding_radius())
+    if kernel.separable and kernel.d == 2:
+        a0, a1 = axis_rows(idx, axis_factors(kernel, sq)[0], grid.shape, add=True)
+        return axes_sum(a0, a1, grid) / len(pos), np.stack([axes_sum(a0, a1, grid, c) for c in carry.T], axis=-1)
     v = box_outer(np.multiply, axis_factors(kernel, sq)[0]) if kernel.separable else value_and_grad_factor(kernel, r2)[0]
     size = prod(grid.shape)
     density = np.bincount(lin.ravel(), weights=v.ravel(), minlength=size) / len(pos)
@@ -378,7 +457,8 @@ def oracle_deposit(pos, kernel, grid, carry):
 @given(cases())
 def test_clamped_deposit_gives_the_bits_of_the_clip_and_mask_deposit(case):
     # a clamped box holds the oracle's nonzero pairs on the same nodes in the same row order, and adding a 0.0 pair moves
-    # no sum; the velocity's box sums group their zero pairs differently, so it is held to the dense oracles' TOL only
+    # no sum (the 2d gaussian's dense rows are the oracle's); the velocity's box sums group their zero pairs differently,
+    # so it is held to the dense oracles' TOL only
     kernel, _, pos, grid, _ = case
     carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
     dep = mollified_density(pos, kernel, grid, carry=carry)
@@ -390,7 +470,7 @@ def test_clamped_deposit_gives_the_bits_of_the_clip_and_mask_deposit(case):
 @given(cases(dims=(2,)), st.integers(1, 5), st.sampled_from(["one row", "k rows", "all rows"]))
 def test_box_fast_paths_give_the_bits_of_the_broadcast_reduce(case, k, size):
     # a block gathers through a strided view and indexes from one box template; both must give the broadcast
-    # reduce's bits, as must the einsum pair products
+    # reduce's bits
     kernel, _, pos, grid, _ = case
     per_row = pairs_per_row(grid, pos, kernel)
     rng = np.random.default_rng(len(pos))
@@ -414,8 +494,6 @@ def test_box_fast_paths_give_the_bits_of_the_broadcast_reduce(case, k, size):
             assert np.array_equal(blk.gather(wf), wf[lin])
             assert routes == ["view"]
             assert np.array_equal(blk.lin(), lin)
-            f = rng.uniform(size=blk.off.shape)
-            assert np.array_equal(blk.product(f), box_outer(np.multiply, f))
 
 
 def value_and_grad_factor_with_v_over_r2(spec, r2):
@@ -498,7 +576,7 @@ def test_per_axis_gaussian_keeps_exactly_the_pairs_within_reach(case):
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
     win = grid.window(pos, reach)
-    held = win.product(axis_factors(kernel, win.sq())[0]) != 0.0
+    held = box_outer(np.multiply, axis_factors(kernel, win.sq())[0]) != 0.0
     rows = np.broadcast_to(np.arange(len(pos))[:, None], held.shape)
     kept = np.zeros((len(pos), prod(grid.shape)), dtype=bool)
     kept[rows[held], win.lin()[held]] = True
