@@ -61,15 +61,7 @@ def _cmd_converge(args):
 
 
 def _cmd_accept(args):
-    if args.criterion == "all":
-        ids = sorted(CRITERIA)
-    else:
-        cid = int(args.criterion)
-        if cid not in CRITERIA:
-            print(f"unknown criterion {cid}; available: {sorted(CRITERIA)}", file=sys.stderr)
-            return 2
-        ids = [cid]
-    results = run_criteria(ids)
+    results = run_criteria(sorted(CRITERIA) if args.criterion == "all" else [int(args.criterion)])
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1
@@ -113,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("accept", help="run acceptance criteria")
-    p.add_argument("--criterion", default="all", help="criterion id or 'all'")
+    p.add_argument("--criterion", default="all", choices=["all", *map(str, sorted(CRITERIA))],
+                   help="criterion id or 'all'")
     p.set_defaults(func=_cmd_accept)
 
     return parser

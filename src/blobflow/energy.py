@@ -18,13 +18,13 @@ computed by trapezoid quadrature on a grid tied to the kernel width.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EnergyDomainError
-from .grids import Grid, GridField, QuadratureSpec, lattice_nodes
-from .kernels import MollifierSpec, axis_factors, value_and_grad_factor, value_on_pairs
+from .grids import Grid, GridField, QuadratureSpec, contract, lattice_nodes
+from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
 
@@ -96,47 +96,62 @@ class EnergyModel:
 class Deposit:
     """One state's V_eps * rho^N on a grid, with what the velocity gathers through.
 
-    The energy reads ``density``, the velocity gathers F'(density) back
-    through ``pairs``, and the error term reads ``carried``.  The 2d
-    gaussian keeps its whole ``Window`` and per-axis (v, g), (N, 2, W) each
-    and 0.0 beyond reach along their axis; its dense (N, n_k) rows are
-    formed block by block and let go.  Otherwise each row block keeps its
+    The energy reads ``density``, the velocity gathers values on the grid
+    back through ``contract``, and the error term reads ``carried``.  The
+    2d gaussian keeps its whole ``Window`` and per-axis (v, g), (N, 2, W)
+    each and 0.0 beyond reach along their axis; its dense (N, n_k) rows are
+    formed chunk by chunk and let go.  Otherwise each row block keeps its
     ``Window`` and its (rows, W^d) g_eps, the bump's the one full-size pair
     array kept.  The V_eps values are dead once deposited.
     """
 
     grid: Grid
     kernel: MollifierSpec
-    pairs: tuple  # ((window, (v, g)),) for the 2d gaussian, else per row block (``Window.blocks``) (its Window, g_eps)
+    pairs: tuple  # (window, v, g) for the 2d gaussian, else per row block (``Window.blocks``) (its Window, g_eps)
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
+
+    def contract(self, values: np.ndarray) -> np.ndarray:
+        """(N, d) sums of grad V_eps(node - x_j) times the flat (G,) values over each particle's box, by the deposit's route.
+
+        grad V_eps(node - x) = (node - x) g_eps(|node - x|^2): the 2d gaussian
+        takes it per axis (``Window.contract_axes``); otherwise each row block
+        reads the values on its boxes (``Window.gather``), times its g_eps,
+        and sums the offsets one axis at a time (``grids.contract``).
+        """
+        if self.kernel.separable and self.kernel.d == 2:
+            win, v, g = self.pairs
+            return win.contract_axes(values, v, g)
+        out = []
+        for blk, g in self.pairs:
+            box = blk.gather(values)
+            box *= g
+            out.append(contract(blk.off, box))
+        return np.concatenate(out)
 
 
 def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, carry=None) -> Deposit:
     """(1/N) sum_j V_eps(. - x_j) on the grid nodes: each particle adds V_eps onto the nodes within its reach.
 
     With ``carry`` (N, m), each column is deposited too, weighted by V_eps
-    (``Deposit.carried``).  The 2d gaussian is deposited by matrix products
-    of its per-axis factors (``Window.deposit_axes``); otherwise the
-    particles are evaluated in the window's row blocks, by the route
-    ``kernels`` gives the family, and each block's V_eps is deposited onto
-    the sums so far and let go.
+    (``Deposit.carried``).  This function picks the route and
+    ``Deposit.contract`` follows it.  The 2d gaussian is deposited by matrix
+    products of its per-axis factors, the 1d profile on each axis's squared
+    offsets (``Window.deposit_axes``); every other kernel is evaluated on
+    each row block's r2 (``Window.blocks``), and the block's V_eps is
+    deposited onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     cols = () if carry is None else carry.T
     win = grid.window(pos, kernel.padding_radius())
     if kernel.separable and kernel.d == 2:
-        v, g = axis_factors(kernel, win.sq())
+        v, g = value_and_grad_factor(replace(kernel, d=1), win.sq())
         density, *carried = win.deposit_axes(v, cols)
-        pairs = ((win, (v, g)),)
+        pairs = (win, v, g)
     else:
         density, carried, pairs = None, [None] * len(cols), []
         for rows, blk in win.blocks():
-            if kernel.separable:  # in 1d the gaussian's one axis factors are V_eps and g_eps
-                v, grad = axis_factors(kernel, blk.sq())
-                v, grad = v[:, 0], grad[:, 0]
-            else:
-                v, grad = value_and_grad_factor(kernel, blk.r2())
+            v, grad = value_and_grad_factor(kernel, blk.r2())
             pairs.append((blk, grad))
             carried = [blk.deposit(v * c[rows, None], acc) for c, acc in zip(cols, carried)]
             density = blk.deposit(v, density)

@@ -3,12 +3,13 @@
 Convolution-type integrals all run on uniform grids whose spacing is tied
 to the kernel width (the integrands' length scale is eps), with the domain
 padded by the kernel's numerical support so truncation sits below every
-tolerance in use.  Every lattice is built by ``cover_points`` and every
-grid integral is ``Grid.integrate``; reductions are plain numpy sums or
-products sized to run on one BLAS thread, so repeated runs are bit-
-reproducible.  The grid layer is written once for any dimension d; the
-box products serve the kernels' d <= 2.  A particle touches its box of
-nodes (``Grid.window``), clamped onto the grid, so every box lies on it.
+tolerance in use.  Every lattice is built by ``cover_points``, every
+grid integral is ``Grid.integrate`` and every dot product is ``dot``;
+reductions are plain numpy sums or products sized to run on one BLAS
+thread, so repeated runs are bit-reproducible.  The grid layer is written
+once for any dimension d; the box products serve the kernels' d <= 2.  A
+particle touches its box of nodes (``Grid.window``), clamped onto the
+grid, so every box lies on it.
 
 ``write_csv`` is the one writer of every CSV artifact: Python scalars
 joined by ``str``, which for floats is the shortest round-trip repr, so
@@ -28,9 +29,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CoverageError
 
 
-# The most terms in one dot product of ``Grid.integrate``: OpenBLAS splits a
-# longer one over threads, which changes its bits.  Every 1d grid in use is one.
+# The most terms in one product of ``dot``: OpenBLAS splits a longer one over
+# threads, which changes its bits.  Every 1d grid in use is one.
 DOT_TERMS = 10000
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i of two 1d arrays: dot products of DOT_TERMS terms at a time, summed in order, so its bits do not
+    depend on the number of BLAS threads.  The package's one ``np.dot``."""
+    if len(a) <= DOT_TERMS:  # one product, without the per-piece cost that thousands of small JKO calls would see
+        return float(np.dot(a, b))
+    return float(sum(np.dot(a[i:i + DOT_TERMS], b[i:i + DOT_TERMS]) for i in range(0, len(a), DOT_TERMS)))
 
 
 @dataclass(frozen=True)
@@ -74,11 +83,8 @@ class Grid:
         return reduce(np.multiply.outer, per_axis).ravel()
 
     def integrate(self, values) -> float:
-        """Trapezoid integral of an array of node values: dot products with ``trapezoid_weights``, DOT_TERMS nodes at a time, summed in order."""
-        w, v = self.trapezoid_weights(), values.ravel()
-        if len(w) <= DOT_TERMS:  # one product, without the per-piece cost that thousands of small JKO calls would see
-            return float(np.dot(w, v))
-        return float(sum(np.dot(w[i:i + DOT_TERMS], v[i:i + DOT_TERMS]) for i in range(0, len(w), DOT_TERMS)))
+        """Trapezoid integral of an array of node values: their ``dot`` with ``trapezoid_weights``."""
+        return dot(self.trapezoid_weights(), values.ravel())
 
     def window(self, points: np.ndarray, reach: float) -> Window:
         """Each point's box of W = 2 ceil(reach/h) + 2 consecutive nodes per axis, which holds every node within reach of it.

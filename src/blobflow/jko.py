@@ -28,7 +28,7 @@ import numpy as np
 from .energy import EnergyModel, energy_on_grid, mollified_density
 from .errors import ConvergenceError
 from .fields import mollify, sobolev_seminorm_m2
-from .grids import GridField, QuadratureSpec
+from .grids import GridField, QuadratureSpec, dot
 from .kernels import MollifierSpec
 from .particles import ParticleEnsemble, step_count, velocity_on_grid
 from .transport import m2
@@ -228,7 +228,7 @@ def _minimise_on_grid(x, tau, kernel, model, grid, gtol):
         gsup = float(np.max(np.abs(grad)))
         if gsup <= gtol:
             break
-        gnorm2 = float(np.dot(grad, grad))
+        gnorm2 = dot(grad, grad)
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             y_try = y - alpha * grad

@@ -11,15 +11,14 @@ A smoothing kernel of width ``eps`` is generated from a unit profile by
   the profile required by the subquadratic diffusion regime.
 
 Both profiles are nonnegative, even, mass one, with finite second moment
-and integrable gradient.  The gaussian is also separable: ``V_eps(x) =
-prod_k V^1_eps(x_k)``, a product of 1d profiles, so the particle<->grid
-paths evaluate it once per axis (``axis_factors``) and multiply the axes
-(in 2d as matrix products).  Its truncation is per axis: a pair counts when every
-``|x_k| <= 8 eps``, a box that leaves at most ``2 d Q(8)`` of the mass
-outside (``Q`` the normal tail; 2.5e-15 in d = 2).  The bump is not a
-product and is evaluated on each pair's squared distance
-(``value_and_grad_factor``), cut to its support ball.
-``MollifierSpec.separable`` picks the route from the family alone.
+and integrable gradient.  ``value_and_grad_factor`` is the one evaluator
+of both, on squared distances.  The gaussian is also separable: ``V_eps(x) =
+prod_k V^1_eps(x_k)``, a product of 1d profiles, which ``energy`` uses in
+2d by evaluating the 1d profile on each axis's squared offsets and
+multiplying the axes as matrix products.  Its truncation is per axis: a
+pair counts when every ``|x_k| <= 8 eps``, a box that leaves at most
+``2 d Q(8)`` of the mass outside (``Q`` the normal tail; 2.5e-15 in
+d = 2).  The bump is not a product and is cut to its support ball.
 Scalar moments of the unit profile are closed forms (``UNIT_MOMENTS``);
 moments of ``V_eps`` follow from the exact scaling laws (``m1`` and ``m2``
 scale like ``eps`` and ``eps^2``, sup norms like ``eps^{-d}`` and
@@ -132,10 +131,12 @@ def kernel_moments(spec: MollifierSpec) -> KernelMoments:
 def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     """(V_eps, g_eps) at squared distances r2, with grad V_eps(x) = x g_eps(|x|^2).
 
-    The bump's window route, and every family's ``value_on_pairs`` and
-    ``grad_on_pairs``.  V_eps and g_eps share one exp (gaussian) or one
-    t = max(1 - r2 / eps^2, 0) (bump), and both are exactly 0.0 at
-    r2 = inf, which is how ``Window.r2`` marks the pairs that do not count.
+    Every deposit and gather evaluates the kernel here: on each pair's r2,
+    or for the 2d gaussian as the 1d profile (d = 1) on each axis's squared
+    offsets, which are V_eps's factors per axis.  V_eps and g_eps share one
+    exp (gaussian) or one t = max(1 - r2 / eps^2, 0) (bump), and both are
+    exactly 0.0 at r2 = inf, which is how ``Window.r2`` and ``Window.sq``
+    mark the pairs that do not count, so no exp underflows.
     r2 is consumed: g_eps is written over its buffer (a float array r2
     becomes g_eps), V_eps into one new array, and each step works in place.
     """
@@ -156,22 +157,6 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
     t *= t
     t *= -6.0 * c * inv_eps2
     return v, t
-
-
-def axis_factors(spec: MollifierSpec, sq: np.ndarray) -> tuple:
-    """(v, g) per axis of the gaussian (the separable profile) at squared offsets sq along each axis, each of sq's shape.
-
-    V_eps(x) = prod_k v_k(x_k) and grad V_eps(x)_k = x_k g_k(x_k) prod_{j != k} v_j(x_j),
-    with v the 1d gaussian of width eps and g = v · (-1/eps^2).  Both are
-    exactly 0.0 at sq = inf, which is how ``Window.sq`` marks the nodes that
-    do not count, so no exp underflows.  sq is consumed as in
-    ``value_and_grad_factor``: g is written over its buffer.  In 1d, v and g
-    are V_eps and g_eps of that function, bit for bit.
-    """
-    inv_eps2 = spec.eps ** -2.0
-    v = np.exp(np.multiply(sq, -0.5 * inv_eps2, out=sq))
-    v *= _INV_SQRT_2PI * spec.eps ** -1.0
-    return v, np.multiply(v, -inv_eps2, out=sq)
 
 
 def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:

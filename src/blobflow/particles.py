@@ -8,12 +8,9 @@ velocity field
 
 evaluated by trapezoid quadrature on one shared grid per evaluation.  The
 density is one ``energy.Deposit`` over each particle's box of grid nodes
-(``grids.Window``), and the velocity is gathered back through the same
-row blocks: each block reads F' w on its boxes (``Window.gather``) and
-sums the node-minus-particle offsets times the kernel's gradient factors
-one axis at a time (``grids.contract``), in O(N W^d) time and memory.
-The 2d gaussian instead gathers by matrix products of dense per-axis
-rows (``Window.contract_axes``).  ``kernels`` describes the families.
+(``grids.Window``), and the velocity gathers F' w back through that
+deposit (``Deposit.contract``), by the route it was deposited by.
+``kernels`` describes the families.
 
 For F(x) = x^2 the velocity collapses to the pairwise interaction
 -(2/N) sum_j grad W_eps(x_i - x_j) with W_eps = V_eps * V_eps; that closed
@@ -28,7 +25,7 @@ import numpy as np
 from . import transport
 from .energy import Deposit, EnergyModel, energy_on_grid, mollified_density
 from .errors import CoverageError, DomainEscapeError, SizeLimitError, UnsupportedDensityError
-from .grids import QuadratureSpec, contract
+from .grids import QuadratureSpec
 from .kernels import MollifierSpec, grad_on_pairs, self_convolution
 
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -83,26 +80,15 @@ class Trajectory:
 
 
 def velocity_on_grid(dep: Deposit, model: EnergyModel) -> np.ndarray:
-    """Blob velocities gathered from a deposit on its own grid.
+    """Blob velocities from a deposit on its own grid: grad V_eps(node - x) against F' w on the nodes (``Deposit.contract``).
 
     F' is read only where the deposit is nonzero: nothing else is gathered,
-    and the entropy's F' is undefined at zero density.  The gather walks
-    the deposit's row blocks, or for the 2d gaussian its dense (rows, n_k)
-    rows per axis chunk by chunk, so no full-size pair array is built.
+    and the entropy's F' is undefined at zero density.
     """
     wf = np.zeros_like(dep.density)
     held = dep.density != 0.0
     wf[held] = dep.grid.trapezoid_weights()[held] * model.f_prime(dep.density[held])
-    # grad V_eps(node - x) = -grad V_eps(x - node) = (node - x) g_eps(|node - x|^2), or per axis for a separable kernel
-    vel = []
-    for blk, grad in dep.pairs:
-        if isinstance(grad, tuple):  # the 2d gaussian's per-axis (v, g)
-            vel.append(blk.contract_axes(wf, *grad))
-        else:
-            box = blk.gather(wf)
-            box *= grad
-            vel.append(contract(blk.off, box))
-    return np.concatenate(vel)
+    return dep.contract(wf)
 
 
 def velocity(

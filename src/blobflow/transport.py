@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SizeLimitError
+from .grids import dot
 
 ASSIGNMENT_CAP = 512
 
@@ -141,7 +142,7 @@ def w2(a, b) -> float:
         ticks = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
         lo = ticks[:-1]
         gap = np.sort(pa[:, 0])[lo // m] - np.sort(pb[:, 0])[lo // n]
-        return float(np.sqrt(np.dot(np.diff(ticks) / (n * m), gap * gap)))
+        return float(np.sqrt(dot(np.diff(ticks) / (n * m), gap * gap)))
     if n != m:
         raise ValueError(f"particle counts differ: {n} vs {m}")
     if n > ASSIGNMENT_CAP:

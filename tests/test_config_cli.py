@@ -516,6 +516,14 @@ def test_cli_accept_single(capsys):
     assert out.startswith("PASS criterion 6")
 
 
+@pytest.mark.parametrize("criterion", ["foo", "99"])
+def test_cli_accept_refuses_an_unknown_criterion_with_a_usage_line(capsys, criterion):
+    with pytest.raises(SystemExit) as exit_:
+        main(["accept", "--criterion", criterion])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def jko_config(out, **overrides):
     cfg = particle_config(out, solver="jko", tau=1e-3)
     cfg.pop("dt")

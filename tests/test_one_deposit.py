@@ -6,7 +6,9 @@ in the package that calls ``.window(`` is a second window->evaluate->deposit
 copy, and fails here.  The window cuts itself into row blocks
 (``Window.blocks``), so only ``grids`` knows the block size, and it forms
 the flat indices and gathers the boxes itself, so only ``grids`` knows how a
-window's node indices ``at`` are laid out.
+window's node indices ``at`` are laid out.  The deposit gathers back through
+its own pairs (``Deposit.contract``), so only ``energy`` knows the route a
+deposit took and how its ``pairs`` are laid out.
 """
 import ast
 from pathlib import Path
@@ -47,9 +49,15 @@ def test_only_grids_reads_the_block_size():
     assert readers == {"grids"}
 
 
+def _attribute_readers(attr: str) -> set:
+    """The package modules that read ``.<attr>`` anywhere."""
+    return {path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(ast.parse(path.read_text())))}
+
+
 def test_only_grids_reads_a_windows_node_indices():
-    readers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if any(isinstance(node, ast.Attribute) and node.attr == "at" for node in ast.walk(ast.parse(path.read_text()))):
-            readers.add(path.stem)
-    assert readers == {"grids"}
+    assert _attribute_readers("at") == {"grids"}
+
+
+def test_only_energy_reads_a_deposits_pairs():
+    assert _attribute_readers("pairs") == {"energy"}

@@ -26,7 +26,7 @@ from blobflow.energy import EnergyModel, mollified_density
 from blobflow.fields import TestFunction, error_term_grid, error_term_z
 from blobflow.grids import QuadratureSpec
 from blobflow.jko import _step_grid
-from blobflow.kernels import MollifierSpec, axis_factors, grad_on_pairs, value_and_grad_factor, value_on_pairs
+from blobflow.kernels import MollifierSpec, grad_on_pairs, value_and_grad_factor, value_on_pairs
 from blobflow.particles import ParticleEnsemble, velocity_on_grid
 
 TOL = 1e-12
@@ -50,6 +50,11 @@ def dense_kernel(pos, kernel, grid, reach=None):
     diff, near = dense_pairs(pos, kernel, grid, kernel.padding_radius() if reach is None else reach)
     v, g = value_and_grad_factor(kernel, np.sum(diff * diff, axis=-1))
     return diff, v * near, g * near
+
+
+def axis_values(kernel, sq):
+    """The gaussian's V_eps factor per axis: the 1d profile of its width on the (N, d, W) squared offsets sq, consumed."""
+    return value_and_grad_factor(MollifierSpec(kernel.family, 1, kernel.eps), sq)[0]
 
 
 def dense_density(pos, kernel, grid, reach=None):
@@ -200,10 +205,10 @@ def test_error_term_carries_v_times_grad_phi_exactly(case, family):
     gp = phi.grad(pos).reshape(len(pos), -1)
     [dep] = deposits
     if kernel.separable and kernel.d == 2:  # carried column k is the route's sum of (A_0 gp_k)^T A_1 over its pieces
-        a0, a1 = axis_rows(win.at, axis_factors(kernel, win.sq())[0], grid.shape)
+        a0, a1 = axis_rows(win.at, axis_values(kernel, win.sq()), grid.shape)
         want = [axes_sum(a0, a1, grid, gp[:, k]) for k in range(2)]
     else:
-        v = axis_factors(kernel, win.sq())[0][:, 0] if kernel.separable else value_and_grad_factor(kernel, win.r2())[0]
+        v = value_and_grad_factor(kernel, win.r2())[0]
         want = [win.deposit(v * gp[:, k, None]) for k in range(kernel.d)]
     assert np.array_equal(dep.carried, np.stack(want, axis=-1))
 
@@ -347,7 +352,7 @@ def test_per_axis_products_give_the_bits_of_their_chunks(case, step):
         mp.setattr(grids, "PRODUCT_MACS", step * 16 * grid.shape[1])
         dep = mollified_density(pos, kernel, grid, carry=carry)
         win = grid.window(pos, kernel.padding_radius())
-        a0, a1 = axis_rows(win.at, axis_factors(kernel, win.sq())[0], grid.shape)
+        a0, a1 = axis_rows(win.at, axis_values(kernel, win.sq()), grid.shape)
         assert np.array_equal(dep.density, axes_sum(a0, a1, grid) / len(pos))
         assert np.array_equal(dep.carried, np.stack([axes_sum(a0, a1, grid, c) for c in carry.T], axis=-1))
         got = velocity_on_grid(mollified_density(pos, kernel, grid), model)
@@ -444,9 +449,9 @@ def oracle_deposit(pos, kernel, grid, carry):
     factors added into dense rows on its clipped nodes (a masked node adds 0.0), summed as the route sums them."""
     lin, r2, sq, idx = full_size_pairs(grid, pos, kernel.padding_radius())
     if kernel.separable and kernel.d == 2:
-        a0, a1 = axis_rows(idx, axis_factors(kernel, sq)[0], grid.shape, add=True)
+        a0, a1 = axis_rows(idx, axis_values(kernel, sq), grid.shape, add=True)
         return axes_sum(a0, a1, grid) / len(pos), np.stack([axes_sum(a0, a1, grid, c) for c in carry.T], axis=-1)
-    v = box_outer(np.multiply, axis_factors(kernel, sq)[0]) if kernel.separable else value_and_grad_factor(kernel, r2)[0]
+    v = box_outer(np.multiply, axis_values(kernel, sq)) if kernel.separable else value_and_grad_factor(kernel, r2)[0]
     size = prod(grid.shape)
     density = np.bincount(lin.ravel(), weights=v.ravel(), minlength=size) / len(pos)
     carried = [np.bincount(lin.ravel(), weights=(v * c[:, None]).ravel(), minlength=size) for c in carry.T]
@@ -556,9 +561,10 @@ def r2_route(pos, kernel, model, grid, carry):
 
 
 @settings(max_examples=100)
-@given(cases(dims=(1,), families=("gaussian",)))
-def test_per_axis_gaussian_gives_the_bits_of_the_r2_route_in_1d(case):
-    # in 1d the per-axis factors are V_eps and g_eps themselves, formed by the same operations in the same order
+@given(st.one_of(cases(dims=(1,)), cases(dims=(2,), families=("bump",))))
+def test_every_row_block_kernel_gives_the_bits_of_the_r2_route(case):
+    # every kernel but the 2d gaussian is evaluated on its blocks' r2 and gathered back through them: the 1d gaussian
+    # and bump, and the 2d bump, whose gather reads its boxes through a strided view instead of flat indices
     kernel, model, pos, grid, _ = case
     carry = np.random.default_rng(len(pos)).normal(size=(len(pos), 2))
     dep = mollified_density(pos, kernel, grid, carry=carry)
@@ -576,7 +582,7 @@ def test_per_axis_gaussian_keeps_exactly_the_pairs_within_reach(case):
     kernel, _, pos, grid, _ = case
     reach = kernel.padding_radius()
     win = grid.window(pos, reach)
-    held = box_outer(np.multiply, axis_factors(kernel, win.sq())[0]) != 0.0
+    held = box_outer(np.multiply, axis_values(kernel, win.sq())) != 0.0
     rows = np.broadcast_to(np.arange(len(pos))[:, None], held.shape)
     kept = np.zeros((len(pos), prod(grid.shape)), dtype=bool)
     kept[rows[held], win.lin()[held]] = True
@@ -618,13 +624,11 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
     model = EnergyModel("power", 2.0)
     side = np.linspace(-0.5, 0.5, 3)
     pos = np.stack(np.meshgrid(*[side] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    shapes, displacement_calls = {"pairs": [], "axes": []}, []
+    shapes, displacement_calls = [], []
 
-    def recording(route, fn):
-        def wrapped(spec, arr):
-            shapes[route].append(np.shape(arr))
-            return fn(spec, arr)
-        return wrapped
+    def recording(spec, arr):
+        shapes.append(np.shape(arr))
+        return value_and_grad_factor(spec, arr)
 
     def displacements(fn):
         def wrapped(spec, diff):
@@ -632,8 +636,7 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
             return fn(spec, diff)
         return wrapped
 
-    monkeypatch.setattr(energy, "value_and_grad_factor", recording("pairs", value_and_grad_factor))
-    monkeypatch.setattr(energy, "axis_factors", recording("axes", axis_factors))
+    monkeypatch.setattr(energy, "value_and_grad_factor", recording)
     for mod in (particles, energy):
         monkeypatch.setattr(mod, "value_on_pairs", displacements(value_on_pairs), raising=False)
         monkeypatch.setattr(mod, "grad_on_pairs", displacements(grad_on_pairs), raising=False)
@@ -641,16 +644,13 @@ def test_pair_arrays_scale_with_the_window_not_the_grid(monkeypatch, family, d):
     for half in (3.0, 6.0):
         quad = QuadratureSpec(domain=[[-half, half]] * d)
         grid = quad.grid_for(pos, kernel)
-        for calls in shapes.values():
-            calls.clear()
+        shapes.clear()
         velocity_on_grid(mollified_density(pos, kernel, grid), model)
         mollified_density(pos, kernel, grid)
-        seen.append({route: (len(calls), sorted(set(calls))) for route, calls in shapes.items()})
+        seen.append(list(shapes))
     w = 2 * int(np.ceil(kernel.padding_radius() / QuadratureSpec().spacing(kernel))) + 2
-    if kernel.separable:  # the gaussian is evaluated per axis, on (N, d, W) squared offsets only
-        assert seen[0] == {"pairs": (0, []), "axes": (2, [(len(pos), d, w)])}
-    else:
-        assert seen[0] == {"pairs": (2, [(len(pos), w ** d)]), "axes": (0, [])}
+    # the 2d gaussian is evaluated per axis, on (N, 2, W) squared offsets only; every other kernel on (N, W^d) pairs
+    assert seen[0] == [(len(pos), 2, w) if kernel.separable and d == 2 else (len(pos), w ** d)] * 2
     assert seen[1] == seen[0]
     assert displacement_calls == []
 
