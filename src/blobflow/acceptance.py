@@ -339,10 +339,3 @@ CRITERIA = {
     11: criterion_11,
     12: criterion_12,
 }
-
-
-def run_criteria(ids=None):
-    results = []
-    for cid in ids or sorted(CRITERIA):
-        results.append(CRITERIA[cid]())
-    return results

@@ -27,7 +27,7 @@ scale like ``eps`` and ``eps^2``, sup norms like ``eps^{-d}`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class MollifierSpec:
     def separable(self) -> bool:
         """True when V_eps is a product of 1d profiles, one per axis (the gaussian family)."""
         return self.family == "gaussian"
-
-    def with_eps(self, eps: float) -> "MollifierSpec":
-        return MollifierSpec(self.family, self.d, eps)
 
 
 @dataclass(frozen=True)
@@ -162,13 +159,13 @@ def value_and_grad_factor(spec: MollifierSpec, r2) -> tuple:
 def value_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
     """V_eps on an explicit (..., d) array of displacement vectors."""
     u = np.asarray(diff, dtype=float) / spec.eps
-    return value_and_grad_factor(spec.with_eps(1.0), np.einsum("...d,...d->...", u, u))[0] * spec.eps ** (-spec.d)
+    return value_and_grad_factor(replace(spec, eps=1.0), np.einsum("...d,...d->...", u, u))[0] * spec.eps ** (-spec.d)
 
 
 def grad_on_pairs(spec: MollifierSpec, diff: np.ndarray) -> np.ndarray:
     """grad V_eps on an explicit (..., d) array of displacement vectors."""
     u = np.asarray(diff, dtype=float) / spec.eps
-    g = value_and_grad_factor(spec.with_eps(1.0), np.einsum("...d,...d->...", u, u))[1] * spec.eps ** (-spec.d - 1)
+    g = value_and_grad_factor(replace(spec, eps=1.0), np.einsum("...d,...d->...", u, u))[1] * spec.eps ** (-spec.d - 1)
     return u * g[..., None]
 
 
@@ -179,4 +176,4 @@ def self_convolution(spec: MollifierSpec) -> MollifierSpec:
     """
     if spec.family != "gaussian":
         raise ValueError("V_eps * V_eps has a closed form for the gaussian family only")
-    return spec.with_eps(np.sqrt(2.0) * spec.eps)
+    return replace(spec, eps=np.sqrt(2.0) * spec.eps)

@@ -198,6 +198,8 @@ def diagnose(run_dir, phi: dict | None = None) -> dict:
     run_dir = Path(run_dir)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     cfg = ExperimentConfig.from_dict(manifest["config"])
+    if cfg.solver != "particle":
+        raise ConfigError(f"the diagnose suites need a particle run's trajectory.csv; {run_dir} holds a {cfg.solver} run")
     kernel = cfg.kernel_spec()
     model = cfg.energy_model()
     quad = cfg.quadrature_spec()

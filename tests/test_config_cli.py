@@ -619,3 +619,13 @@ def test_cli_diagnose_refuses_width_zero(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 0
     assert main(["diagnose", str(tmp_path / "run"), "--phi-width", "0"]) == 2
     assert "width must be positive" in capsys.readouterr().err
+
+
+def test_cli_diagnose_refuses_a_jko_run(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(jko_config(tmp_path / "run", n_particles=6, T=0.002)))
+    assert main(["jko", "--config", str(path)]) == 0
+    files = sorted((tmp_path / "run").iterdir())
+    assert main(["diagnose", str(tmp_path / "run")]) == 2
+    assert "need a particle run's trajectory.csv" in capsys.readouterr().err
+    assert sorted((tmp_path / "run").iterdir()) == files

@@ -3,7 +3,7 @@
 A module-level name in ``src/blobflow``, or a public method or property of
 a public class there, counts as used when its name is read (as a name or
 an attribute) in ``src/`` outside ``__init__.py`` and outside its own
-definition, in ``scripts/`` or in ``perfbench/``.  A string passed to
+definition, or in ``perfbench/``.  A string passed to
 ``getattr`` and a method the benchmark tracer wraps (its ``METHODS``) are
 reads too.  Imports and ``__init__`` re-exports do not count, so a helper
 only the tests call fails here.  The exceptions are the names a README
@@ -62,9 +62,9 @@ def _traced_methods() -> set:
 
 
 def _uses() -> set:
-    """Names and attributes read in the package, scripts and benchmark, each outside its own definition."""
+    """Names and attributes read in the package and benchmark, each outside its own definition."""
     used = _traced_methods()
-    for path in _modules() + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in _modules() + sorted((ROOT / "perfbench").glob("*.py")):
         _reads(ast.parse(path.read_text()), frozenset(), used)
     return used
 
