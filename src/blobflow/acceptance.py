@@ -20,6 +20,7 @@ from .jko import flow_interchange_diagnostic, run_jko
 from .kernels import MollifierSpec
 from .particles import ParticleEnsemble, pairwise_velocity_m2, simulate, stable_dt, step_count, velocity
 from .reference import BarenblattProfile, fd_pme_oracle, lambda_convexity, lower_bound_check
+from .runner import particle_invariants
 from .transport import m2 as ens_m2, w2, w2_assignment_positions
 
 
@@ -80,15 +81,12 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    traj, _ = _dissipation_run()
-    coms = np.array([d["com"][0] for d in traj.diagnostics])
-    drift = float(np.max(np.abs(coms - coms[0])))
-    mass_ok = all(ens.n == traj.snapshots[0][1].n for _, ens in traj.snapshots)
+    inv = particle_invariants(_dissipation_run()[0])
     return CriterionResult(
         3,
         "conservation over the dissipation run",
-        mass_ok and drift <= 1e-8,
-        f"mass exact (structural), |com drift| {drift:.3e} (cap 1e-8)",
+        inv["mass_exact"] and inv["com_conserved"],
+        f"mass exact (structural), |com drift| {inv['com_drift']:.3e} (cap 1e-8)",
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EnergyDomainError
-from .grids import Grid, GridField, QuadratureSpec, contract, lattice_nodes
+from .grids import Grid, GridField, QuadratureSpec, contract
 from .kernels import MollifierSpec, value_and_grad_factor, value_on_pairs
 
 KINDS = ("power", "entropy")
@@ -167,7 +167,7 @@ def regularized_energy(
     """E_eps[rho] = int F(V_eps * rho) by trapezoid quadrature.
 
     rho may be a particle ensemble / raw position array (grid built around
-    the particles, padded by the kernel support) or a GridField (convolved
+    the particles, padded by the kernel support) or a 1d GridField (convolved
     on its own grid, extended by the kernel support).
     """
     if isinstance(rho, GridField):
@@ -182,24 +182,18 @@ def energy_on_grid(dep: Deposit, model: EnergyModel) -> float:
     return dep.grid.integrate(model.f_eval(dep.density))
 
 
-# Lattice convolution method per dimension: direct sums on a line (numpy's
-# own convolve, bit for bit), FFT on a plane, where direct sums cost O(G * taps).
-CONV_METHOD = {1: "direct", 2: "fft"}
-
-
 def convolve_field(field: GridField, kernel: MollifierSpec) -> GridField:
-    """V_eps * field as a discrete convolution on the field's own grid.
+    """V_eps * field as a discrete convolution of a 1d field on its own grid.
 
     The result grid is the input grid extended by the kernel's numerical
     support.  The field spacing should resolve the kernel (h <= eps/4) for
     quadrature-grade accuracy; discrete Young's inequality holds regardless.
+    Gridded densities are convolved in 1d only; a 2d field raises ValueError.
     """
-    from scipy.signal import convolve  # ~0.5 s to import; only the energy of a gridded density needs it
-
-    h, d = field.grid.spacing, field.d
+    if field.d != 1:
+        raise ValueError(f"gridded densities are convolved in 1d only; this field is {field.d}d")
+    h = field.grid.spacing
     nk = int(np.ceil(kernel.padding_radius() / h))
-    offsets = lattice_nodes([h * np.arange(-nk, nk + 1)] * d)
-    taps = value_on_pairs(kernel, offsets).reshape((2 * nk + 1,) * d) * h ** d
-    vals = convolve(field.values, taps, mode="full", method=CONV_METHOD[d])
-    # FFT round-off leaves tiny negatives where the true convolution is 0
-    return GridField(Grid(field.grid.origin - nk * h, h, vals.shape), np.maximum(vals, 0.0))
+    taps = value_on_pairs(kernel, h * np.arange(-nk, nk + 1)[:, None]) * h
+    vals = np.convolve(field.values, taps, mode="full")
+    return GridField(Grid(field.grid.origin - nk * h, h, vals.shape), vals)

@@ -79,10 +79,6 @@ class JkoState:
             raise ValueError("JKO states keep sorted order")
         object.__setattr__(self, "positions", pos)
 
-    @property
-    def n(self) -> int:
-        return self.positions.size
-
     def ensemble(self) -> ParticleEnsemble:
         return ParticleEnsemble(self.positions[:, None], time=self.step_index * self.tau)
 

@@ -33,10 +33,6 @@ class UniformDensity:
     a: float = 0.0
     b: float = 1.0
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-
     def cdf_inverse(self, q):
         return self.a + (self.b - self.a) * np.asarray(q, dtype=float)
 
@@ -48,10 +44,6 @@ class UniformDensity:
 class GaussianDensity:
     sigma2: float = 1.0
     center: float = 0.0
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x - self.center) ** 2 / self.sigma2) / np.sqrt(2 * np.pi * self.sigma2)
 
     def cdf_inverse(self, q):
         from scipy.special import erfinv  # ~0.3 s to import; only gaussian initial data needs it

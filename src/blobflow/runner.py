@@ -77,7 +77,8 @@ def particle_invariants(traj: Trajectory, kernel_family: str = "gaussian") -> di
     # gaussian family only; the C^2 bump kernel caps it at O(h^2 eps^-3)
     com_tol = COM_TOL if kernel_family == "gaussian" else 1e-3
     return {
-        "mass_exact": True,  # weights are structural (1/N each, never touched)
+        # weights are structural (1/N each, never touched): the mass is exact while no snapshot loses an atom
+        "mass_exact": all(ens.n == traj.snapshots[0][1].n for _, ens in traj.snapshots),
         "energy_monotone": monotone,
         "com_drift": drift,
         "com_conserved": drift <= com_tol,
@@ -114,10 +115,12 @@ class RunResult:
     chain: JkoChain | None = None
 
     @property
+    def failed_invariants(self) -> list:
+        return [name for name, flag in self.manifest.get("invariants", {}).items() if flag is False]
+
+    @property
     def ok(self) -> bool:
-        inv = self.manifest.get("invariants", {})
-        flags = [v for v in inv.values() if isinstance(v, bool)]
-        return self.manifest.get("status") == "ok" and all(flags)
+        return self.manifest.get("status") == "ok" and not self.failed_invariants
 
 
 def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
@@ -293,8 +296,9 @@ def converge(cfg: ExperimentConfig, threads: int = 1) -> dict:
             }
         )
         result = execute(sub)
-        if result.manifest["status"] != "ok":
-            raise RuntimeError(f"sweep run eps={eps} n={n} failed: {result.manifest['error']}")
+        if not result.ok:
+            why = result.manifest["error"] or f"invariants failed: {', '.join(result.failed_invariants)}"
+            raise RuntimeError(f"sweep run eps={eps} n={n} failed: {why}")
         traj, chain = result.trajectory, result.chain
         if chain is None:
             initial, final, t_ref = traj.snapshots[0][1], traj.final(), cfg.T

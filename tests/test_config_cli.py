@@ -15,7 +15,8 @@ from blobflow.kernels import MollifierSpec
 from blobflow.particles import ParticleEnsemble, Trajectory
 from blobflow.reference import BarenblattProfile
 from blobflow.runner import (
-    compare_trajectories, converge, diagnose, emit_reference, execute, read_trajectory_csv, write_trajectory_csv,
+    compare_trajectories, converge, diagnose, emit_reference, execute, particle_invariants, read_trajectory_csv,
+    write_trajectory_csv,
 )
 from blobflow.transport import w2
 
@@ -99,6 +100,14 @@ def test_validation_rejects_unknown_keys_and_entropy_bump():
         ({"quadrature": {"h_over_eps": float("nan")}}, "h_over_eps"),
         ({"quadrature": {"h_over_eps": "x"}}, "h_over_eps"),
         ({"kernel": {"family": "gaussian", "eps": float("inf"), "d": 1}}, "finite"),
+        ({"solver": "sph"}, "solver: unknown solver 'sph'"),
+        ({"solver": "jko", "tau": 1e-3, "kernel": {"family": "gaussian", "eps": 0.2, "d": 2}},
+         "solver: the minimizing-movement solver is one-dimensional"),
+        ({"solver": "jko"}, "tau: required for the jko solver"),
+        ({"sweep": [0.4, 0.2]}, "sweep: need an object with 'eps' and/or 'n_particles' lists"),
+        ({"sweep": {"epsilon": [0.4, 0.2]}}, "sweep: unknown sweep key 'epsilon'"),
+        ({"sweep": {"eps": []}}, "sweep: eps must be a nonempty list"),
+        ({"sweep": {"n_particles": 16}}, "sweep: n_particles must be a nonempty list"),
     ],
 )
 def test_validation_rejects_removed_and_misspelt_knobs(extra, key):
@@ -202,20 +211,30 @@ def test_a_config_changed_after_validation_samples_afresh(tmp_path, monkeypatch)
     assert cfg.initial_density().t0 == 3.0 and len(calls) == 1 + 2 * len(changed) + 3
 
 
-@pytest.mark.parametrize("solver", ["particle", "jko"])
-def test_negative_f_prime_fails_the_run(tmp_path, monkeypatch, solver):
+def _leak_a_negative_f_prime(monkeypatch):
+    """Make every F' call also register one negative argument."""
     f_prime = EnergyModel.f_prime
 
     def leaky(self, x):
-        f_prime(self, np.array([-1.0]))  # registers one negative argument
+        f_prime(self, np.array([-1.0]))
         return f_prime(self, x)
 
     monkeypatch.setattr(EnergyModel, "f_prime", leaky)
-    cfg = particle_config(tmp_path / "run", T=0.002, record_every=1)
+
+
+def _short_run_config(out, solver, **overrides):
+    cfg = particle_config(out, T=0.002, record_every=1, **overrides)
     if solver == "jko":
         cfg.update(solver="jko", tau=1e-3)
         cfg.pop("dt")
         cfg.pop("record_every")
+    return cfg
+
+
+@pytest.mark.parametrize("solver", ["particle", "jko"])
+def test_negative_f_prime_fails_the_run(tmp_path, monkeypatch, solver):
+    _leak_a_negative_f_prime(monkeypatch)
+    cfg = _short_run_config(tmp_path / "run", solver)
     result = execute(ExperimentConfig.from_dict(cfg))
     assert result.manifest["status"] == "ok" and result.manifest["neg_prime_calls"] > 0
     assert result.manifest["invariants"]["neg_prime_free"] is False
@@ -223,6 +242,26 @@ def test_negative_f_prime_fails_the_run(tmp_path, monkeypatch, solver):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["simulate" if solver == "particle" else "jko", "--config", str(path)]) == 1
+
+
+def test_mass_exact_reads_every_snapshots_count():
+    ens = lambda n: ParticleEnsemble(np.linspace(-1.0, 1.0, n)[:, None])
+    diag = [{"energy": 1.0, "com": np.zeros(1)}] * 3
+    kept = particle_invariants(Trajectory([(0.0, ens(4)), (0.1, ens(4)), (0.2, ens(4))], diag))
+    lost = particle_invariants(Trajectory([(0.0, ens(4)), (0.1, ens(4)), (0.2, ens(3))], diag))
+    assert kept["mass_exact"] is True and lost["mass_exact"] is False
+
+
+@pytest.mark.parametrize("solver", ["particle", "jko"])
+def test_converge_fails_on_a_rung_that_fails_an_invariant(tmp_path, monkeypatch, capsys, solver):
+    # the rung completes with status ok, but its run broke neg_prime_free: no report, exit 1
+    _leak_a_negative_f_prime(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_short_run_config(tmp_path / "sweep", solver, sweep={"eps": [0.2]})))
+    assert main(["converge", "--config", str(path)]) == 1
+    assert "sweep run eps=0.2 n=8 failed: invariants failed: neg_prime_free" in capsys.readouterr().err
+    assert json.loads((tmp_path / "sweep" / "eps_0.2_n_8" / "manifest.json").read_text())["status"] == "ok"
+    assert not (tmp_path / "sweep" / "report.csv").exists()
 
 
 def test_failed_run_preserves_manifest(tmp_path):
@@ -490,6 +529,14 @@ def test_cli_converge_requires_reference(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["converge", "--config", str(path)]) == 2
+
+
+def test_cli_converge_requires_a_sweep(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(particle_config(tmp_path / "sweep")))
+    assert main(["converge", "--config", str(path)]) == 2
+    assert "converge needs a sweep section" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_converge_names_the_1d_only_reference_on_a_2d_start(tmp_path):

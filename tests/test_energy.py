@@ -137,17 +137,6 @@ def test_convolved_field_mass_preserved():
     assert conv.mass() == pytest.approx(field.mass(), abs=1e-8)
 
 
-def test_convolved_field_2d():
-    h = 0.05
-    grid = Grid(np.array([-1.0, -1.0]), h, (41, 41))
-    nodes = grid.nodes()
-    vals = np.where(np.max(np.abs(nodes), axis=1) <= 0.5, 1.0, 0.0).reshape(41, 41)
-    field = GridField(grid, vals / GridField(grid, vals.astype(float)).integrate())
-    conv = convolve_field(field, MollifierSpec("gaussian", 2, 0.2))
-    assert conv.mass() == pytest.approx(1.0, abs=1e-6)
-    assert np.all(conv.values >= 0.0)
-
-
 def test_quadrature_refinement_stability():
     # halving the spacing moves the energy by less than the quadrature tolerance
     ens = ParticleEnsemble(np.array([-0.4, 0.1, 0.9]))

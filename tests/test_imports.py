@@ -41,6 +41,18 @@ def test_package_import_loads_no_heavy_scipy():
     assert [m for m in loaded if m.startswith(HEAVY)] == []
 
 
+def test_the_energy_lower_bound_criterion_loads_no_heavy_scipy():
+    # criterion 11 takes the energy of gridded 1d densities, a direct sum that numpy computes
+    passed, loaded = _fresh(
+        "import json, sys\n"
+        "from blobflow.acceptance import criterion_11\n"
+        "passed = criterion_11().passed\n"
+        "print(json.dumps([passed, sorted(sys.modules)]))"
+    )
+    assert passed
+    assert [m for m in loaded if m.startswith(HEAVY)] == []
+
+
 def test_runner_import_loads_no_thread_pool():
     # only converge runs its rungs in a thread pool, so only converge imports concurrent.futures
     loaded = _fresh("import json, sys, blobflow.runner; print(json.dumps(sorted(sys.modules)))")

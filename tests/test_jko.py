@@ -158,6 +158,35 @@ def test_inner_solver_reports_nonconvergence(monkeypatch):
     assert err.value.residual is not None and err.value.residual > 0
 
 
+def test_an_unsorted_minimiser_is_resorted_and_re_evaluated(monkeypatch):
+    # the inner solve may leave two atoms out of order; the step sorts them, evaluates J at the
+    # sorted vector, and keeps it only if J did not rise above the solve's own value
+    import blobflow.jko as jko
+    from blobflow.errors import ConvergenceError
+
+    state = JkoState(positions=(np.arange(16) + 0.5) / 16, tau=TAU, step_index=0)
+    want, want_record = jko_step(state, K, M2)
+    solve, objective = jko._minimise_on_grid, jko._objective
+    understate = [0.0]
+
+    def unsorted(*args):
+        result = solve(*args)
+        evaluated.clear()  # keep only the evaluations made after the solve
+        y = result["y"].copy()
+        y[[3, 4]] = y[[4, 3]]
+        return {**result, "y": y, "objective": result["objective"] - understate[0]}
+
+    evaluated = []
+    monkeypatch.setattr(jko, "_minimise_on_grid", unsorted)
+    monkeypatch.setattr(jko, "_objective", lambda y, *rest: evaluated.append(y.copy()) or objective(y, *rest))
+    got, record = jko_step(state, K, M2)
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], want.positions)
+    assert np.array_equal(got.positions, want.positions) and record == want_record
+    understate[0] = 1.0  # the solve claims a J that the sorted vector does not reach
+    with pytest.raises(ConvergenceError, match="sorted projection increased the objective"):
+        jko_step(state, K, M2)
+
+
 def test_energy_prev_consistency_across_grids():
     # per-step energies recorded on the step's frozen grid agree with an
     # independent evaluation to well below the inequality slack
