@@ -144,8 +144,8 @@ def criterion_6() -> CriterionResult:
             lam = lambda_convexity(MollifierSpec("gaussian", d, eps), model)
             lam2 = lambda_convexity(MollifierSpec("gaussian", d, 2 * eps), model)
             target = 2.0 ** (2.0 + d * (m - 1.0))
-            worst = max(worst, abs(lam.lam / lam2.lam - target) / target)
-            signs_ok = signs_ok and lam.lam < 0
+            worst = max(worst, abs(lam / lam2 - target) / target)
+            signs_ok = signs_ok and lam < 0
     return CriterionResult(
         6,
         "convexity-modulus scaling 2^(2+d(m-1)) across (m, d)",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import EnergyModel, mollified_density
 from .errors import CoverageError
-from .grids import Grid, GridField, QuadratureSpec
+from .grids import Grid, GridField, QuadratureSpec, cover_points
 from .kernels import MollifierSpec, kernel_moments
 from .particles import ParticleEnsemble, Trajectory, velocity
 
@@ -116,16 +116,16 @@ class ErrorTermReport:
     l1_norm: float
     l1_bound: float  # ||D^2 phi|| * m1(V_eps) = eps ||D^2 phi|| m1(V_1)
     pointwise_ok: bool  # |z| <= 2 ||grad phi|| v at every node
-    grid: Grid
 
 
 def error_term_grid(positions, kernel: MollifierSpec, phi: TestFunction, quad: QuadratureSpec) -> Grid:
     """Grid for error_term_z: the nodes within one kernel support of the ensemble (z vanishes beyond),
-    cropped from the lattice around the ensemble and phi's centre padded by supp phi + 2 kernel supports, one box wide at least."""
-    pts = np.vstack([positions, phi.center[None, :]])
-    pad = phi.support_radius() + 2.0 * kernel.padding_radius()
-    grid = quad.grid_for(np.vstack([pts - pad, pts + pad]), kernel)
+    cropped from the lattice of quad's spacing (never its pinned domain) around the ensemble and phi's centre padded by
+    supp phi + 3 kernel supports, one box wide at least."""
     reach = kernel.padding_radius()
+    pts = np.vstack([positions, phi.center[None, :]])
+    pad = phi.support_radius() + 2.0 * reach
+    grid = cover_points(np.vstack([pts - pad, pts + pad]), reach, quad.spacing(kernel))
     lo = np.floor((np.min(positions, axis=0) - reach - grid.origin) / grid.spacing)
     hi = np.ceil((np.max(positions, axis=0) + reach - grid.origin) / grid.spacing)
     return Grid(grid.origin + lo * grid.spacing, grid.spacing, hi - lo + 1).widened(reach)
@@ -154,7 +154,6 @@ def error_term_z(
         l1_norm=l1,
         l1_bound=bound,
         pointwise_ok=ptwise,
-        grid=grid,
     )
 
 

@@ -30,7 +30,7 @@ from .errors import ConvergenceError
 from .fields import mollify, sobolev_seminorm_m2
 from .grids import GridField, QuadratureSpec, dot
 from .kernels import MollifierSpec
-from .particles import ParticleEnsemble, step_count, velocity_on_grid
+from .particles import ParticleEnsemble, velocity_on_grid
 from .transport import m2
 
 ARMIJO_C1 = 1e-4
@@ -170,6 +170,12 @@ def jko_step(
         result = _minimise_on_grid(x, tau, kernel, model, grid, gtol)
         if grid.covers(result["y"][:, None], margin=kernel.padding_radius()):
             break
+        if quad.domain is not None:  # every attempt would build the pinned domain's one lattice and solve again on it
+            raise ConvergenceError(
+                f"proximal step moved particles within one kernel support radius ({kernel.padding_radius():.4g}) "
+                f"of the edge of the pinned quadrature domain {[list(axis) for axis in quad.domain]}",
+                residual=result["grad_sup"],
+            )
     else:
         raise ConvergenceError(
             "proximal step moved particles beyond every retried grid extension",
@@ -256,16 +262,13 @@ def run_jko(
     kernel: MollifierSpec,
     model: EnergyModel,
     tau: float,
-    n_steps: int | None = None,
-    T: float | None = None,
+    n_steps: int,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> JkoChain:
-    """Run the minimizing-movement chain for n_steps (or step_count(T, tau)) steps."""
+    """Run the minimizing-movement chain for n_steps steps (at least one)."""
     validate_tau(tau, model, 1)
-    if n_steps is None:
-        if T is None:
-            raise ValueError("give n_steps or T")
-        n_steps = step_count(T, tau)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be positive, got {n_steps}")
     x0 = np.sort(np.asarray(initial_positions, dtype=float).ravel())
     state = JkoState(positions=x0, tau=tau, step_index=0)
     chain = JkoChain(states=[state], records=[], kernel=kernel, model=model, tau=tau, quad=quad)
@@ -297,7 +300,6 @@ class FlowInterchangeReport:
     entropy_drop_scaled: float  # m^2/(4 c1) (H[v^0] - H[v^K])
     ratio: float
     solver_quality_warning: bool
-    horizon: float
 
 
 def flow_interchange_diagnostic(chain: JkoChain) -> FlowInterchangeReport:
@@ -316,7 +318,7 @@ def flow_interchange_diagnostic(chain: JkoChain) -> FlowInterchangeReport:
     mass_terms = np.array([r.mass_term for r in chain.records], dtype=float)
     grid = chain.quad.grid_for(first.positions[:, None], chain.kernel)
     h0 = boltzmann_entropy(mollify(first.ensemble(), chain.kernel, grid))
-    hk = chain.records[-1].entropy if chain.records else h0
+    hk = chain.records[-1].entropy
     drop = model.m ** 2 / (4.0 * model.c1) * (h0 - hk)
     ratio = float(d_terms.sum() / drop) if drop > 0 else float("inf")
     return FlowInterchangeReport(
@@ -329,5 +331,4 @@ def flow_interchange_diagnostic(chain: JkoChain) -> FlowInterchangeReport:
         entropy_drop_scaled=drop,
         ratio=ratio,
         solver_quality_warning=bool(not ratio <= 1.05),
-        horizon=chain.horizon,
     )

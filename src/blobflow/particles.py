@@ -163,7 +163,7 @@ def stable_dt(kernel: MollifierSpec, model: EnergyModel) -> float:
     if model.m > 1:
         from .reference import lambda_convexity
 
-        lam = abs(lambda_convexity(kernel, model).lam)
+        lam = abs(lambda_convexity(kernel, model))
         dt = min(dt, 1.0 / lam)
     return dt
 

@@ -21,7 +21,7 @@ from .energy import EnergyModel, regularized_energy
 from .errors import ConvergenceError
 from .grids import GridField, cover_points
 from .jko import alpha_for_dim, moment_interpolation_constant
-from .kernels import KernelMoments, MollifierSpec, kernel_moments
+from .kernels import MollifierSpec, kernel_moments
 from .transport import m2 as ensemble_m2
 
 
@@ -273,35 +273,19 @@ def fd_pme_oracle(initial: GridField, m: float, T: float, dt: float) -> list:
 # ---------------------------------------------------------------------------
 # convexity modulus and stability
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    lam: float
-    eps: float
-    m: float
-    d: int
-    scaling_exponent: float  # lam ~ -eps^(scaling_exponent)... = -2 - d(m-1)
-
-
-def lambda_convexity(kernel: MollifierSpec, model: EnergyModel) -> ConvexityReport:
-    """Displacement-convexity modulus -c2 ||D^2 V_eps|| ||V_eps||^{m-2} / (m-1)."""
+def lambda_convexity(kernel: MollifierSpec, model: EnergyModel) -> float:
+    """Displacement-convexity modulus lambda = -c2 ||D^2 V_eps|| ||V_eps||^{m-2} / (m-1)."""
     if model.m <= 1:
         raise ValueError("the convexity modulus formula needs m > 1")
-    mom: KernelMoments = kernel_moments(kernel)
-    lam = -model.c2 * mom.sup_d2v * mom.sup_v ** (model.m - 2.0) / (model.m - 1.0)
-    return ConvexityReport(
-        lam=lam,
-        eps=kernel.eps,
-        m=model.m,
-        d=kernel.d,
-        scaling_exponent=-2.0 - kernel.d * (model.m - 1.0),
-    )
+    mom = kernel_moments(kernel)
+    return -model.c2 * mom.sup_d2v * mom.sup_v ** (model.m - 2.0) / (model.m - 1.0)
 
 
-def stability_bound(report: ConvexityReport, t: float, dw0: float) -> float:
+def stability_bound(lam: float, t: float, dw0: float) -> float:
     """Gradient-flow stability envelope exp(-lambda t) * dW(0)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return float(np.exp(-report.lam * t) * dw0)
+    return float(np.exp(-lam * t) * dw0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +296,6 @@ class LowerBoundReport:
     lhs: float  # E_eps[rho]
     rhs: float  # -c1 - 4 c2 C_{d,alpha} (1 + eps^2 m2(V1) + m2(rho))^alpha
     ok: bool
-    alpha: float
-    c_dalpha: float
 
 
 def negative_part_constants(model: EnergyModel, alpha: float) -> tuple[float, float]:
@@ -339,4 +321,4 @@ def lower_bound_check(rho, kernel: MollifierSpec, model: EnergyModel) -> LowerBo
     lhs = regularized_energy(rho, kernel, model)
     rhs = -c1 - 4.0 * c2 * c_da * (1.0 + kernel_moments(kernel).m2 + mom2) ** alpha
     ok = bool(lhs >= rhs - 1e-6 * (1.0 + abs(rhs)))
-    return LowerBoundReport(lhs=lhs, rhs=rhs, ok=ok, alpha=alpha, c_dalpha=c_da)
+    return LowerBoundReport(lhs=lhs, rhs=rhs, ok=ok)

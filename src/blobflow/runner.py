@@ -27,7 +27,7 @@ from .fields import (
 )
 from .grids import GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, StepRecord, flow_interchange_diagnostic, run_jko
-from .particles import ParticleEnsemble, Trajectory, simulate, step_plan
+from .particles import ParticleEnsemble, Trajectory, simulate, step_count, step_plan
 from .reference import BarenblattProfile, heat_solution
 from .transport import w2
 
@@ -167,7 +167,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
                 kernel,
                 model,
                 tau=cfg.tau,
-                T=cfg.T,
+                n_steps=step_count(cfg.T, cfg.tau),
                 quad=quad,
             )
             names = [f.name for f in dataclasses.fields(StepRecord)]
@@ -353,8 +353,8 @@ def emit_reference(kind: str, out_path, *, m=None, t0=None, mass=None, sigma2=No
 
     m, t0 and mass set the barenblatt profile, sigma2 the heat one, each
     defaulting as ``REFERENCE_DEFAULTS`` says; t is the sampling time and
-    spacing the grid's.  An option of the other kind raises ConfigError,
-    naming it and its kind, before anything is written.
+    spacing the grid's.  An option of the other kind, or a number out of its
+    range, raises ConfigError, naming it, before anything is written.
     """
     given = {"m": m, "t0": t0, "mass": mass, "sigma2": sigma2}
     if kind not in REFERENCE_DEFAULTS:
@@ -365,6 +365,14 @@ def emit_reference(kind: str, out_path, *, m=None, t0=None, mass=None, sigma2=No
                 raise ConfigError(f"reference option {name!r} sets the {owner} profile; kind {kind!r} does not take it")
     opts = {name: float(value if given[name] is None else given[name]) for name, value in REFERENCE_DEFAULTS[kind].items()}
     t, spacing = float(t), float(spacing)
+    # heat flow runs forward from t = 0, the self-similar profile from its singularity at t = -t0
+    rules = {"t": ("at least 0", t >= 0.0)}
+    if kind == "barenblatt":
+        rules = {"m": ("above 1", opts["m"] > 1.0), "t": (f"above -t0 = {-opts['t0']:g}", t > -opts["t0"])}
+    for name, value in {**opts, "t": t, "spacing": spacing}.items():
+        rule, holds = rules.get(name, ("positive", value > 0.0))
+        if not (holds and np.isfinite(value)):
+            raise ConfigError(f"reference option {name!r} must be finite and {rule}, got {value:g}")
     if kind == "barenblatt":
         fld = BarenblattProfile(d=1, **opts).sample_field(t, spacing)
     else:

@@ -356,6 +356,21 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
         assert (tmp_path / "run" / name).exists()
 
 
+@pytest.mark.parametrize("solver", ["particle", "jko"])
+def test_cli_converge_and_diagnose_run_on_a_pinned_domain(tmp_path, solver):
+    # the particles stay a kernel support inside the domain; the error term's lattice, padded by supp phi, does not
+    cfg = _short_run_config(tmp_path / "sweep", solver, n_particles=50, quadrature={"domain": [[-6.0, 6.0]]}, sweep={"eps": [0.4, 0.2]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["converge", "--config", str(path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "sweep" / "report.csv").read_text().splitlines()[1:]]
+    assert {(eps, float(value) > 0) for eps, _, _, metric, value in rows if metric == "z_eps_l1"} == {("0.4", True), ("0.2", True)}
+    if solver == "particle":
+        assert main(["diagnose", str(tmp_path / "sweep" / "eps_0.2_n_50")]) == 0
+        for name in ("error_term.csv", "weak_residual.csv", "local_residual.csv"):
+            assert len((tmp_path / "sweep" / "eps_0.2_n_50" / name).read_text().splitlines()) == 1 + 3
+
+
 def test_cli_solver_mismatch(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(particle_config(tmp_path / "run")))
@@ -405,14 +420,26 @@ def test_emit_reference_rejects_a_misspelt_keyword(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind,option,owner", [("heat", ["--m", "3"], "barenblatt"), ("barenblatt", ["--sigma2", "9"], "heat")]
+    "kind,option,says",
+    [
+        ("heat", ["--m", "3"], "barenblatt"),
+        ("barenblatt", ["--sigma2", "9"], "heat"),
+        # numbers out of range, which used to end in numpy's OverflowError, ValueError or ComplexWarning with exit 1
+        ("heat", ["--spacing", "0"], "must be finite and positive, got 0"),
+        ("heat", ["--t", "-1"], "must be finite and at least 0, got -1"),
+        ("heat", ["--sigma2", "nan"], "must be finite and positive, got nan"),
+        ("barenblatt", ["--t", "-2"], "must be finite and above -t0 = -1, got -2"),
+        ("barenblatt", ["--m", "1"], "must be finite and above 1, got 1"),
+        ("barenblatt", ["--spacing", "inf"], "must be finite and positive, got inf"),
+    ],
 )
-def test_cli_reference_rejects_the_other_kinds_option(tmp_path, capsys, kind, option, owner):
+def test_cli_reference_rejects_the_other_kinds_option(tmp_path, capsys, kind, option, says):
+    # an option of the other kind, or a number out of its range, is a configuration error naming the option
     out = tmp_path / "ref.csv"
     assert main(["reference", "--kind", kind, *option, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert repr(option[0].lstrip("-")) in err and owner in err
-    assert not out.exists()
+    assert repr(option[0].lstrip("-")) in err and says in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["barenblatt", "heat"])

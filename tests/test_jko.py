@@ -187,6 +187,74 @@ def test_an_unsorted_minimiser_is_resorted_and_re_evaluated(monkeypatch):
         jko_step(state, K, M2)
 
 
+def test_a_line_search_flat_to_rounding_keeps_the_start_within_100_gtol(monkeypatch):
+    # no trial passes Armijo: the solve keeps its start when the sup-gradient is within 100 gtol, and stalls beyond
+    import blobflow.jko as jko
+    from blobflow.errors import ConvergenceError
+
+    x = (np.arange(16) + 0.5) / 16
+    grid = _step_grid(x, K, QuadratureSpec(), slack=K.eps)
+    gsup = jko._minimise_on_grid(x, TAU, K, M2, grid, np.inf)["grad_sup"]  # the start's, where an infinite gtol stops
+    monkeypatch.setattr(jko, "ARMIJO_C1", np.inf)
+    kept = jko._minimise_on_grid(x, TAU, K, M2, grid, gsup / 50)
+    assert np.array_equal(kept["y"], x) and kept["objective"] == kept["start"]
+    assert kept["grad_sup"] == gsup and kept["iterations"] == 1
+    with pytest.raises(ConvergenceError, match="stalled"):
+        jko._minimise_on_grid(x, TAU, K, M2, grid, gsup / 200)
+
+
+def _recorded_solves(monkeypatch, shift=0.0):
+    """Patch the inner solve to record each (grid, y) it returns, its y moved by shift."""
+    import blobflow.jko as jko
+
+    solve, solves = jko._minimise_on_grid, []
+
+    def recorded(x, tau, kernel, model, grid, gtol):
+        result = solve(x, tau, kernel, model, grid, gtol)
+        solves.append((grid, result["y"] + shift))
+        return {**result, "y": solves[-1][1]}
+
+    monkeypatch.setattr(jko, "_minimise_on_grid", recorded)
+    return solves
+
+
+def test_a_step_that_leaves_its_grid_is_solved_again_on_a_wider_one(monkeypatch):
+    # the first `tight` attempts take no slack, so the spreading state leaves their grid
+    import blobflow.jko as jko
+    from blobflow.errors import ConvergenceError
+
+    state = JkoState(positions=(np.arange(16) + 0.5) / 16, tau=TAU, step_index=0)
+    step_grid, tight, slacks = jko._step_grid, [1], []
+    solves = _recorded_solves(monkeypatch)
+
+    def first_tight(x, kernel, quad, slack):
+        slacks.append(slack)
+        return step_grid(x, kernel, quad, 0.0 if len(solves) < tight[0] else slack)
+
+    monkeypatch.setattr(jko, "_step_grid", first_tight)
+    got, _ = jko_step(state, K, M2)
+    reach = K.padding_radius()
+    assert slacks == [K.eps, 2 * K.eps] and not solves[0][0].covers(solves[0][1][:, None], margin=reach)
+    assert solves[1][0].covers(got.positions[:, None], margin=reach) and np.array_equal(got.positions, solves[1][1])
+    solves.clear()
+    slacks.clear()
+    tight[0] = 3
+    with pytest.raises(ConvergenceError, match="beyond every retried grid extension"):
+        jko_step(state, K, M2)
+    assert len(solves) == 3 and slacks == [K.eps, 2 * K.eps, 3 * K.eps]
+
+
+def test_a_step_that_leaves_a_pinned_domain_fails_without_a_retry(monkeypatch):
+    # every attempt on a pinned domain builds its one lattice, so a retry would solve the same problem again
+    from blobflow.errors import ConvergenceError
+
+    solves = _recorded_solves(monkeypatch, shift=1.5)
+    state = JkoState(positions=(np.arange(16) + 0.5) / 16, tau=TAU, step_index=0)
+    with pytest.raises(ConvergenceError, match=r"pinned quadrature domain \[\[-2.0, 3.0\]\]"):
+        jko_step(state, K, M2, QuadratureSpec(domain=[[-2.0, 3.0]]))
+    assert len(solves) == 1
+
+
 def test_energy_prev_consistency_across_grids():
     # per-step energies recorded on the step's frozen grid agree with an
     # independent evaluation to well below the inequality slack
@@ -228,11 +296,10 @@ def test_flow_interchange_uses_the_chain_quadrature():
     assert rep.sum_d == pytest.approx(sum(r.fi_term for r in chain.records), rel=1e-10)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0])
-def test_run_jko_refuses_a_nonpositive_horizon(T):
-    # step_count used to round a horizon T <= 0 up to one step
-    with pytest.raises(ValueError, match="must be positive"):
-        run_jko(np.linspace(0.0, 1.0, 8), K, M2, tau=1e-3, T=T)
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_run_jko_refuses_a_nonpositive_horizon(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be positive"):
+        run_jko(np.linspace(0.0, 1.0, 8), K, M2, tau=1e-3, n_steps=n_steps)
 
 
 def _counting(calls, name, fn):
@@ -268,7 +335,7 @@ def test_energy_prev_is_the_previous_energy_on_the_step_grid():
         state = nxt
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 5])
+@pytest.mark.parametrize("n_steps", [1, 5])
 def test_flow_interchange_deposits_only_the_initial_state(monkeypatch, n_steps):
     chain = run_jko(BarenblattProfile(m=2.0, d=1).quantile_ensemble(32).positions[:, 0], K, M2, tau=TAU, n_steps=n_steps)
     calls = {"window": 0}
@@ -276,8 +343,6 @@ def test_flow_interchange_deposits_only_the_initial_state(monkeypatch, n_steps):
     rep = flow_interchange_diagnostic(chain)
     assert calls["window"] == 1
     assert rep.d_terms.size == rep.mass_terms.size == n_steps
-    if n_steps == 0:
-        assert rep.entropy_final == rep.entropy_initial and rep.sum_d == 0.0
 
 
 def _hull_report_oracle(chain):

@@ -251,23 +251,19 @@ def test_fd_oracle_validates_steps():
 
 def test_lambda_convexity_formula_and_scaling():
     model = EnergyModel("power", 2.0)
-    rep = lambda_convexity(MollifierSpec("gaussian", 1, 0.3), model)
-    assert rep.lam < 0
-    assert rep.scaling_exponent == -3.0
-    rep2 = lambda_convexity(MollifierSpec("gaussian", 1, 0.6), model)
-    assert rep.lam / rep2.lam == pytest.approx(8.0, rel=1e-12)
-    rep3 = lambda_convexity(MollifierSpec("gaussian", 2, 0.4), EnergyModel("power", 3.0))
-    assert rep3.scaling_exponent == -6.0
+    lam = lambda_convexity(MollifierSpec("gaussian", 1, 0.3), model)
+    assert isinstance(lam, float) and lam < 0
+    assert lam / lambda_convexity(MollifierSpec("gaussian", 1, 0.6), model) == pytest.approx(8.0, rel=1e-12)
     with pytest.raises(ValueError):
         lambda_convexity(MollifierSpec("gaussian", 1, 0.3), EnergyModel("entropy"))
 
 
 def test_stability_bound_edges():
-    rep = lambda_convexity(MollifierSpec("gaussian", 1, 0.3), EnergyModel("power", 2.0))
-    assert stability_bound(rep, 0.0, 0.37) == pytest.approx(0.37)
-    assert stability_bound(rep, 5.0, 0.0) == 0.0
+    lam = lambda_convexity(MollifierSpec("gaussian", 1, 0.3), EnergyModel("power", 2.0))
+    assert stability_bound(lam, 0.0, 0.37) == pytest.approx(0.37)
+    assert stability_bound(lam, 5.0, 0.0) == 0.0
     with pytest.raises(ValueError):
-        stability_bound(rep, -1.0, 0.1)
+        stability_bound(lam, -1.0, 0.1)
 
 
 def test_stability_envelope_dominates_measured_distance():
@@ -281,11 +277,11 @@ def test_stability_envelope_dominates_measured_distance():
     prof = BarenblattProfile(m=2.0, d=1)
     t_small = simulate(prof.quantile_ensemble(32), kernel, model, T=0.1, dt=2e-3, record_every=10)
     t_big = simulate(prof.quantile_ensemble(128), kernel, model, T=0.1, dt=2e-3, record_every=10)
-    rep = lambda_convexity(kernel, model)
+    lam = lambda_convexity(kernel, model)
     dw0 = w2(t_small.snapshots[0][1], t_big.snapshots[0][1])
     for (t, a), (_, b) in zip(t_small.snapshots[1:], t_big.snapshots[1:]):
         measured = w2(a, b)
-        assert measured <= stability_bound(rep, t, dw0)
+        assert measured <= stability_bound(lam, t, dw0)
 
 
 def test_negative_part_constants():
