@@ -223,29 +223,30 @@ def local_weak_form_residual(
 ) -> np.ndarray:
     """|LHS - RHS| of the local diffusion weak form on gridded densities.
 
-    series is a list of (t, GridField) on one common grid.  LHS(t) =
-    int phi (v_t - v_0); RHS(t) = - int_0^t int grad phi . grad P(v_s),
+    series is an iterable of (t, GridField) on one common grid, each field
+    read once, as it comes, so a generator holds one field at a time.
+    LHS(t) = int phi (v_t - v_0); RHS(t) = - int_0^t int grad phi . grad P(v_s),
     with grad P(v) by central differences and trapezoid time quadrature.
     """
-    times = np.array([t for t, _ in series])
-    grid = series[0][1].grid
-    nodes = grid.nodes()
-    phiv = phi.value(nodes).reshape(grid.shape)
-    gp = phi.grad(nodes)
-    gp_comps = [gp[:, a].reshape(grid.shape) for a in range(grid.d)]
-    spatial = np.empty(times.size)
-    lhs = np.empty(times.size)
-    base = series[0][1].integrate(phiv * series[0][1].values)
-    for k, (_, fld) in enumerate(series):
-        if fld.grid.shape != grid.shape:
+    times, spatial, lhs = [], [], []
+    for t, fld in series:
+        if not times:  # phi and its gradient on the nodes every field shares, and int phi v_0
+            grid = fld.grid
+            nodes = grid.nodes()
+            phiv = phi.value(nodes).reshape(grid.shape)
+            gp = phi.grad(nodes)
+            gp_comps = [gp[:, a].reshape(grid.shape) for a in range(grid.d)]
+            base = fld.integrate(phiv * fld.values)
+        elif fld.grid.shape != grid.shape:
             raise ValueError("all fields must share one grid")
         press = GridField(grid, model.pressure(fld.values))
         integrand = np.zeros(grid.shape)
         for comp, deriv in zip(gp_comps, press.gradient()):
             integrand += comp * deriv
-        spatial[k] = fld.integrate(integrand)
-        lhs[k] = fld.integrate(phiv * fld.values) - base
-    return _time_residuals(lhs, -spatial, times)
+        times.append(t)
+        spatial.append(fld.integrate(integrand))
+        lhs.append(fld.integrate(phiv * fld.values) - base)
+    return _time_residuals(np.array(lhs), -np.array(spatial), np.array(times))
 
 
 def _time_residuals(lhs: np.ndarray, rate: np.ndarray, times: np.ndarray) -> np.ndarray:

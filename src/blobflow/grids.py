@@ -18,6 +18,7 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
 from math import inf, prod
@@ -400,19 +401,28 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # serialisation: CSV values plus a JSON geometry sidecar
 
+# The most rows ``write_csv`` holds as Python objects at once: about 0.12 MB of
+# cells for a 1d trajectory.
+CSV_ROWS = 1 << 10
+
+
 def write_csv(path, header: str, columns) -> None:
     """One CSV row per index of the equal-length columns, under header.
 
-    Each column goes through tolist(), so every cell is a Python scalar and
-    str (through the row template's %s) gives the shortest round-trip repr
-    for floats.  Rows are formatted one at a time as they are written, so
-    no copy of the whole file is held.
+    columns may instead be an iterator of column lists, whose rows follow
+    one another.  Each column goes through tolist(), so every cell is a
+    Python scalar and str (through the row template's %s) gives the shortest
+    round-trip repr for floats.  At most CSV_ROWS rows are turned into
+    Python objects at once, so the cells held while writing stay bounded
+    whatever the file's length; the columns themselves are the caller's.
     """
-    cols = [np.asarray(c).tolist() for c in columns]
-    row = ",".join(["%s"] * len(cols)) + "\n"
     with Path(path).open("w") as fh:
         fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, zip(*cols)))
+        for block in columns if isinstance(columns, Iterator) else [columns]:
+            cols = [np.asarray(c) for c in block]
+            row = ",".join(["%s"] * len(cols)) + "\n"
+            for a in range(0, len(cols[0]) if cols else 0, CSV_ROWS):
+                fh.writelines(map(row.__mod__, zip(*(c[a:a + CSV_ROWS].tolist() for c in cols))))
 
 
 def write_field_csv(field: GridField, path) -> None:

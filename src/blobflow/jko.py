@@ -147,8 +147,11 @@ class JkoChain:
 
 
 def _step_grid(positions: np.ndarray, kernel: MollifierSpec, quad: QuadratureSpec, slack: float):
-    padded = np.concatenate([positions - slack, positions + slack])
-    return quad.grid_for(padded[:, None], kernel)
+    """quad's grid around the atoms padded by slack either side.  A pinned domain has one lattice, which no slack
+    moves, so its coverage check takes the atoms themselves, as the particle solver's does."""
+    if quad.domain is None:
+        positions = np.concatenate([positions - slack, positions + slack])
+    return quad.grid_for(positions[:, None], kernel)
 
 
 def jko_step(

@@ -10,6 +10,7 @@ round-trip repr), so identical configs reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import time
 import traceback
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig
@@ -35,27 +35,34 @@ ENERGY_SLACK = 1e-8
 COM_TOL = 1e-8
 
 
+def _scipy_version() -> str:
+    """``scipy.__version__``, run from scipy's own version.py, so no run loads the scipy package for the manifest."""
+    names: dict = {}
+    exec(Path(importlib.util.find_spec("scipy").origin).with_name("version.py").read_text(), names)
+    return names["version"]
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """One row per particle per snapshot, handed to ``write_csv`` one snapshot at a time."""
     d = traj.snapshots[0][1].d
     # each snapshot's time formatted once, as str formats each float cell, not once per particle
-    t = np.repeat(np.array([str(float(t)) for t, _ in traj.snapshots], dtype=object), [ens.n for _, ens in traj.snapshots])
-    ids = np.concatenate([np.arange(ens.n) for _, ens in traj.snapshots])
-    pos = np.concatenate([ens.positions for _, ens in traj.snapshots])
-    write_csv(path, "t,id," + ",".join(f"x{a}" for a in range(d)), [t, ids, *pos.T])
+    blocks = ([np.full(ens.n, str(float(t)), dtype=object), np.arange(ens.n), *ens.positions.T] for t, ens in traj.snapshots)
+    write_csv(path, "t,id," + ",".join(f"x{a}" for a in range(d)), blocks)
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """The snapshots of a trajectory CSV, whose rows come grouped by snapshot in increasing t."""
+    """The snapshots of a trajectory CSV, whose rows come grouped by snapshot in increasing t.
+
+    Each snapshot's positions are an (N, d) array of their own, so the parsed file is freed on return.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    d = data.shape[1] - 2
     gaps = np.diff(data[:, 0])
     if np.any(gaps < 0):
         raise ValueError(f"{path}: rows must come grouped by snapshot in increasing t")
     snapshots = []
     for block in np.split(data, np.flatnonzero(gaps) + 1):
-        block = block[np.argsort(block[:, 1])]
         t = float(block[0, 0])
-        snapshots.append((t, ParticleEnsemble(block[:, 2 : 2 + d], time=t)))
+        snapshots.append((t, ParticleEnsemble(block[np.argsort(block[:, 1]), 2:], time=t)))
     return Trajectory(snapshots=snapshots, diagnostics=[])
 
 
@@ -129,7 +136,7 @@ def execute(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": cfg.to_dict(),
-        "versions": {"blobflow": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"blobflow": __version__, "numpy": np.__version__, "scipy": _scipy_version()},
         "status": "ok",
         "error": None,
     }
@@ -217,19 +224,16 @@ def diagnose(run_dir, phi: dict | None = None) -> dict:
     if phi.d != hull.shape[1]:
         raise ConfigError(f"test function: the centre has {phi.d} coordinates, the run is {hull.shape[1]}-dimensional")
 
-    reps = [
-        error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad))
-        for _, ens in traj.snapshots
-    ]
-    z_cols = [[r.l1_norm for r in reps], [r.l1_bound for r in reps], [int(r.pointwise_ok) for r in reps]]
+    # each snapshot's error term, and below its field on the hull grid, is made when it is used and dropped after
+    reps = (error_term_z(ens, kernel, phi, error_term_grid(ens.positions, kernel, phi, quad)) for _, ens in traj.snapshots)
+    z_cols = zip(*((r.l1_norm, r.l1_bound, int(r.pointwise_ok)) for r in reps))
     write_csv(run_dir / "error_term.csv", "t,z_l1,z_l1_bound,pointwise_ok", [traj.times(), *z_cols])
 
     res = weak_form_residual(traj, kernel, model, phi, quad)
     write_csv(run_dir / "weak_residual.csv", "t,residual", [traj.times(), res])
 
     grid = quad.grid_for(hull, kernel)
-    series = [(t, mollify(e, kernel, grid)) for t, e in traj.snapshots]
-    local = local_weak_form_residual(series, model, phi)
+    local = local_weak_form_residual(((t, mollify(e, kernel, grid)) for t, e in traj.snapshots), model, phi)
     write_csv(run_dir / "local_residual.csv", "t,residual", [traj.times(), local])
     return {
         "error_term": str(run_dir / "error_term.csv"),

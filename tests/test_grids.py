@@ -48,6 +48,22 @@ def test_write_csv_matches_row_formatter(tmp_path_factory, data, n):
     assert path.read_bytes() == _rows_oracle("x,id,name,y", rows).encode()
 
 
+@pytest.mark.parametrize("n", [0, grids.CSV_ROWS - 1, grids.CSV_ROWS, grids.CSV_ROWS + 1, 2 * grids.CSV_ROWS + 3])
+def test_write_csv_matches_row_formatter_across_chunks(tmp_path, n):
+    # the writer formats CSV_ROWS rows at a time; the rows on either side of each cut, and a split into blocks, keep their bytes
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    ids = rng.integers(-(2**62), 2**62, n)
+    names = [f"w{i % 13}_{i}" for i in range(n)]
+    oracle = _rows_oracle("x,id,name", [[xs[i], ids[i], names[i]] for i in range(n)]).encode()
+    write_csv(tmp_path / "one.csv", "x,id,name", [xs, ids, names])
+    assert (tmp_path / "one.csv").read_bytes() == oracle
+    cuts = [0, n // 3, n // 3 + grids.CSV_ROWS + 1, n]
+    blocks = ([xs[a:b], ids[a:b], names[a:b]] for a, b in zip(cuts, cuts[1:]))
+    write_csv(tmp_path / "blocks.csv", "x,id,name", blocks)
+    assert (tmp_path / "blocks.csv").read_bytes() == oracle
+
+
 def test_write_csv_tuple_columns(tmp_path):
     # report.csv / compare.csv hand over the transposed row list
     rows = [[0.4, 40, "auto", "w2_final_vs_reference", 1e-5], [0.2, 40, "auto", "z_eps_l1", -0.0]]

@@ -1,7 +1,8 @@
 """What a fresh interpreter imports, and when.
 
-``import blobflow`` loads numpy and not the heavy scipy subpackages; each
-of those loads only where a run needs it, and never inside a timed run:
+``import blobflow`` loads numpy and not the heavy scipy subpackages, and
+``blobflow.runner`` not even the bare scipy package; each scipy
+subpackage loads only where a run needs it, and never inside a timed run:
 after the set-up a CLI invocation pays (parse and validate the config,
 sample the initial ensemble, the kernel moments), running a benchmark
 workload first-imports no numpy or scipy module.  The heap policy that
@@ -58,6 +59,24 @@ def test_runner_import_loads_no_thread_pool():
     loaded = _fresh("import json, sys, blobflow.runner; print(json.dumps(sorted(sys.modules)))")
     assert "blobflow.runner" in loaded
     assert [m for m in loaded if m.startswith("concurrent")] == []
+
+
+def test_runner_import_loads_no_scipy_and_the_manifest_names_its_version(tmp_path):
+    # the manifest's scipy version is read from scipy's version.py, so not even the bare package loads
+    raw = WORKLOADS["jko1d_gauss"].config(level_for(DEFAULT_SEED), str(tmp_path / "run"))
+    loaded, ok = _fresh(
+        "import json, sys\n"
+        "from blobflow import runner\n"
+        "from blobflow.config import ExperimentConfig\n"
+        "loaded = sorted(sys.modules)\n"
+        f"cfg = ExperimentConfig.from_dict(json.loads({json.dumps(json.dumps(raw))}))\n"
+        "print(json.dumps([loaded, runner.execute(cfg, cfg.output_dir).ok]))"
+    )
+    import scipy
+
+    assert ok and [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -255,6 +255,18 @@ def test_a_step_that_leaves_a_pinned_domain_fails_without_a_retry(monkeypatch):
     assert len(solves) == 1
 
 
+def test_a_pinned_domain_takes_every_atom_its_grid_covers():
+    # the atoms sit 0.88 inside [-0.85, 1.85], beyond the kernel's reach of 0.8; padded by the retry slack they did not
+    x0 = (np.arange(16) + 0.5) / 16
+    quad = QuadratureSpec(domain=[[-0.85, 1.85]])
+    grid = quad.grid_for(x0[:, None], K)
+    assert grid.shape == (109,)
+    chain = run_jko(x0, K, M2, tau=TAU, n_steps=1, quad=quad)
+    free = run_jko(x0, K, M2, tau=TAU, n_steps=1)
+    assert grid.covers(chain.states[-1].positions[:, None], margin=K.padding_radius())
+    np.testing.assert_allclose(chain.states[-1].positions, free.states[-1].positions, rtol=0, atol=1e-9)
+
+
 def test_energy_prev_consistency_across_grids():
     # per-step energies recorded on the step's frozen grid agree with an
     # independent evaluation to well below the inequality slack
