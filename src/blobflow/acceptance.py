@@ -283,7 +283,7 @@ def criterion_11() -> CriterionResult:
             rho = GridField(grid, vals / GridField(grid, vals).mass())
         else:
             rho = ParticleEnsemble(rng.normal(scale=rng.uniform(0.3, 2.0), size=(int(rng.integers(2, 40)), 1)))
-        lower_ok = lower_ok and lower_bound_check(rho, kernel, model).ok
+        lower_ok = lower_ok and lower_bound_check(rho, kernel, model)
     moment_ok = True
     worst = -np.inf
     for _ in range(50):

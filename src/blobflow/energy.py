@@ -19,6 +19,7 @@ computed by trapezoid quadrature on a grid tied to the kernel width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,16 +99,17 @@ class Deposit:
 
     The energy reads ``density``, the velocity gathers values on the grid
     back through ``contract``, and the error term reads ``carried``.  The
-    2d gaussian keeps its whole ``Window`` and per-axis (v, g), (N, 2, W)
-    each and 0.0 beyond reach along their axis; its dense (N, n_k) rows are
-    formed chunk by chunk and let go.  Otherwise each row block keeps its
-    ``Window`` and its (rows, W^d) g_eps, the bump's the one full-size pair
-    array kept.  The V_eps values are dead once deposited.
+    2d gaussian keeps its whole ``Window``, which holds (N, 2) per-point
+    numbers only, and the 1d profile it evaluates per axis: the gather forms
+    each chunk's offsets, factors and dense rows again, as the deposit did,
+    and lets them go.  Otherwise each row block keeps its ``Window`` and its
+    (rows, W^d) g_eps, the bump's the one full-size pair array kept.  The
+    V_eps values are dead once deposited.
     """
 
     grid: Grid
     kernel: MollifierSpec
-    pairs: tuple  # (window, v, g) for the 2d gaussian, else per row block (``Window.blocks``) (its Window, g_eps)
+    pairs: tuple  # (window, per-axis factors) for the 2d gaussian, else per row block (``Window.blocks``) (its Window, g_eps)
     density: np.ndarray  # flat (G,) (1/N) sum_j V_eps(node - x_j)
     carried: np.ndarray | None  # (G, m) sum_j V_eps(node - x_j) carry[j], when a carry was given
 
@@ -120,8 +122,8 @@ class Deposit:
         and sums the offsets one axis at a time (``grids.contract``).
         """
         if self.kernel.separable and self.kernel.d == 2:
-            win, v, g = self.pairs
-            return win.contract_axes(values, v, g)
+            win, factors = self.pairs
+            return win.contract_axes(values, factors)
         out = []
         for blk, g in self.pairs:
             box = blk.gather(values)
@@ -137,17 +139,17 @@ def mollified_density(positions: np.ndarray, kernel: MollifierSpec, grid: Grid, 
     (``Deposit.carried``).  This function picks the route and
     ``Deposit.contract`` follows it.  The 2d gaussian is deposited by matrix
     products of its per-axis factors, the 1d profile on each axis's squared
-    offsets (``Window.deposit_axes``); every other kernel is evaluated on
-    each row block's r2 (``Window.blocks``), and the block's V_eps is
-    deposited onto the sums so far and let go.
+    offsets, formed chunk by chunk (``Window.deposit_axes``); every other
+    kernel is evaluated on each row block's r2 (``Window.blocks``), and the
+    block's V_eps is deposited onto the sums so far and let go.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     cols = () if carry is None else carry.T
     win = grid.window(pos, kernel.padding_radius())
     if kernel.separable and kernel.d == 2:
-        v, g = value_and_grad_factor(replace(kernel, d=1), win.sq())
-        density, *carried = win.deposit_axes(v, cols)
-        pairs = (win, v, g)
+        factors = partial(value_and_grad_factor, replace(kernel, d=1))
+        density, *carried = win.deposit_axes(factors, cols)
+        pairs = (win, factors)
     else:
         density, carried, pairs = None, [None] * len(cols), []
         for rows, blk in win.blocks():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from math import inf, prod
 from pathlib import Path
 
@@ -101,11 +101,7 @@ class Grid:
         if min(self.shape) < w:
             raise ValueError(f"grid of {self.shape} nodes is narrower than one box of {w} nodes per axis")
         first = np.maximum(np.floor((pts - self.origin) / self.spacing).astype(int) - c, 0)
-        idx = np.minimum(first, np.subtract(self.shape, w))[:, :, None] + np.arange(w)
-        off = self.spacing * idx
-        off += self.origin[:, None]
-        off -= pts[:, :, None]  # (N, d, W) node minus point per axis
-        return Window(off, idx, self.shape, reach)
+        return Window(pts, np.minimum(first, np.subtract(self.shape, w)), self, w, reach)
 
     def widened(self, reach: float) -> Grid:
         """This grid, or, where an axis has fewer nodes than one ``window`` box, grown to one box at its upper end, every node kept."""
@@ -141,24 +137,45 @@ class Window:
     Every box is W consecutive nodes on the grid along each axis.  A pair
     counts when its node is within reach of the point: as a whole (``r2``,
     the ball of radius R) for a kernel evaluated on squared distances,
-    along every axis (``sq``, the box) for a separable one.  Only per-axis
-    (N, d, W) arrays are kept; the (N, W^d) pairs are formed when they are
-    needed, at most BLOCK_PAIRS of them at once (``blocks``).
+    along every axis (``sq``, the box) for a separable one.  A window keeps
+    its points and their boxes' (N, d) first nodes only.  Its per-axis
+    (N, d, W) ``at`` and ``off`` are formed on first use and kept; the 2d
+    products (``deposit_axes``, ``contract_axes``) read them per chunk of
+    rows (``chunks``) instead, so none outlives its chunk there.  The
+    (N, W^d) pairs are formed when they are needed, at most BLOCK_PAIRS of
+    them at once (``blocks``).
     """
 
-    off: np.ndarray  # (N, d, W) node minus point along each axis
-    at: np.ndarray  # (N, d, W) node index along each axis, W consecutive ones on the grid
-    shape: tuple  # the grid's node count per axis
+    points: np.ndarray  # (N, d)
+    first: np.ndarray  # (N, d) each box's first node index along each axis
+    grid: Grid
+    width: int  # W
     reach: float  # R: a pair beyond it (in r2, or along an axis in sq) does not count
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        """(N, d, W) node index along each axis, W consecutive ones on the grid."""
+        return self.first[:, :, None] + np.arange(self.width)
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """(N, d, W) node minus point along each axis."""
+        off = self.grid.spacing * self.at
+        off += self.grid.origin[:, None]
+        off -= self.points[:, :, None]
+        return off
+
+    def chunks(self, step: int) -> Iterator:
+        """(rows, window of those rows) for consecutive chunks of step rows, in order."""
+        for a in range(0, len(self.first), step):
+            rows = slice(a, a + step)
+            yield rows, replace(self, points=self.points[rows], first=self.first[rows])
 
     def blocks(self) -> list:
         """(rows, window of those rows) for consecutive row blocks of at most BLOCK_PAIRS pairs each (one row at least), in order."""
-        n, d, w = self.off.shape
-        step = max(1, BLOCK_PAIRS // w ** d)
-        if step >= n:
-            return [(slice(0, n), self)]
-        return [(rows, replace(self, off=self.off[rows], at=self.at[rows]))
-                for rows in (slice(a, a + step) for a in range(0, n, step))]
+        n, d = self.first.shape
+        step = max(1, BLOCK_PAIRS // self.width ** d)
+        return [(slice(0, n), self)] if step >= n else list(self.chunks(step))
 
     def lin(self) -> np.ndarray:
         """(N, W^d) flat indices into the grid's row-major nodes of each point's box nodes; in 1d a view of ``at``.
@@ -166,11 +183,10 @@ class Window:
         A box is its first node's flat index plus one (W^d,) template of the
         per-axis offsets stride_k · j.
         """
-        n, d, w = self.at.shape
-        if d == 1:
+        if self.grid.d == 1:
             return self.at[:, 0]
-        strides = row_major_strides(self.shape)
-        return (self.at[:, :, 0] @ strides)[:, None] + box_sum(strides[None, :, None] * np.arange(w))
+        strides = row_major_strides(self.grid.shape)
+        return (self.first @ strides)[:, None] + box_sum(strides[None, :, None] * np.arange(self.width))
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """(N, W^d) flat (G,) grid values at each point's box nodes, a new array.
@@ -178,11 +194,11 @@ class Window:
         In d > 1, each box is read from a strided (W, ..., W) view of the
         grid at its first node, and no flat index is formed.
         """
-        n, d, w = self.at.shape
+        d = self.grid.d
         if d == 1:
             return values[self.lin()]
-        boxes = sliding_window_view(values.reshape(self.shape), (w,) * d)
-        return boxes[tuple(self.at[:, :, 0].T)].reshape(n, -1)
+        boxes = sliding_window_view(values.reshape(self.grid.shape), (self.width,) * d)
+        return boxes[tuple(self.first.T)].reshape(len(self.first), -1)
 
     def sq(self) -> np.ndarray:
         """(N, d, W) squared offsets along each axis, inf where the node is beyond reach along that axis; a new array."""
@@ -206,57 +222,64 @@ class Window:
         """
         lin = self.lin().ravel()
         if out is None:
-            return np.bincount(lin, weights=values.ravel(), minlength=prod(self.shape))
+            return np.bincount(lin, weights=values.ravel(), minlength=prod(self.grid.shape))
         np.add.at(out, lin, values.ravel())
         return out
 
-    def axis_rows(self, f: np.ndarray, k: int, rows: slice) -> np.ndarray:
-        """Dense (n, ..., n_k) rows of the values f (n, ..., W) on the box nodes along axis k of the points in rows, 0.0 elsewhere."""
-        dense = np.zeros(f.shape[:-1] + (self.shape[k],))
-        first = self.at[rows, k, 0].reshape((-1,) + (1,) * (f.ndim - 2))
+    def axis_rows(self, f: np.ndarray, k: int) -> np.ndarray:
+        """Dense (N, ..., n_k) rows of the values f (N, ..., W) on the box nodes along axis k, 0.0 elsewhere."""
+        dense = np.zeros(f.shape[:-1] + (self.grid.shape[k],))
+        first = self.first[:, k].reshape((-1,) + (1,) * (f.ndim - 2))
         sliding_window_view(dense, f.shape[-1], axis=-1, writeable=True)[(*np.indices(f.shape[:-1], sparse=True), first)] = f
         return dense
 
-    def deposit_axes(self, v: np.ndarray, weights=()) -> list:
-        """Flat (G,) sums per node of the box products v_0 v_1 of per-axis (N, 2, W) factors, then of those times each (N,) weight.
+    def deposit_axes(self, factors, weights=()) -> list:
+        """Flat (G,) sums per node of the box products v_0 v_1, then of those times each (N,) weight.
 
-        The factors go into dense rows A_k per axis (``axis_rows``), and the
-        sums are A_0^T A_1, a weight scaling A_0's rows: over chunks of
-        PRODUCT_MACS / (16 n_1) points, added in row order, one matrix product
-        per ``tiles`` of A_0^T's rows.  That is N G multiply-adds in place of
-        N W^2 pair products, yet BLAS makes it and ``contract_axes`` faster
-        than the pairs up to G / W^2 of about 20 (N = 400, W = 66, one core).
+        ``factors`` maps (rows, 2, W) squared offsets (``sq``) to per-axis
+        factors (v, g), 0.0 beyond reach along their axis.  Over chunks of
+        PRODUCT_MACS / (16 n_1) points, each chunk's offsets and factors are
+        formed, v goes into dense rows A_k per axis (``axis_rows``), and the
+        chunk's A_0^T A_1, a weight scaling A_0's rows, is added onto the
+        sums in row order, one matrix product per ``tiles`` of A_0^T's rows.
+        That is N G multiply-adds in place of N W^2 pair products, yet BLAS
+        makes it and ``contract_axes`` faster than the pairs up to G / W^2 of
+        about 20 (N = 400, W = 66, one core).
         """
-        (n0, n1), step, cut = self.shape, max(1, PRODUCT_MACS // (16 * self.shape[1])), tiles(self.shape[0])
+        (n0, n1), cut = self.grid.shape, tiles(self.grid.shape[0])
         sums = [np.zeros((n0, n1)) for _ in range(1 + len(weights))]
-        for rows in (slice(a, a + step) for a in range(0, len(v), step)):
-            a0, a1 = self.axis_rows(v[rows, 0], 0, rows), self.axis_rows(v[rows, 1], 1, rows)
+        for rows, part in self.chunks(max(1, PRODUCT_MACS // (16 * n1))):
+            v = factors(part.sq())[0]
+            a0, a1 = part.axis_rows(v[:, 0], 0), part.axis_rows(v[:, 1], 1)
             for acc, c in zip(sums, (None, *weights)):
                 a0t = (a0 if c is None else a0 * c[rows, None]).T
                 for t in cut:
                     acc[t] += a0t[t] @ a1
         return [acc.ravel() for acc in sums]
 
-    def contract_axes(self, values: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def contract_axes(self, values: np.ndarray, factors) -> np.ndarray:
         """(N, 2) sums over each box of (node - point)_k g_k v_j times the flat (G,) grid values, j the other axis.
 
-        A point's two dense rows along axis 0 (``axis_rows``), of off_0 g_0
-        and of v_0, times the (n_0, n_1) values sum them along axis 0 with
-        either weight: for chunks of PRODUCT_MACS / (32 n_0) points, one
-        matrix product per ``tiles`` of the values' columns.  Both sums are
-        read on the point's box along axis 1 and summed there against v_1
-        (component 0) or off_1 g_1 (component 1).
+        Over chunks of PRODUCT_MACS / (32 n_0) points, the chunk's offsets
+        and per-axis factors (v, g) are formed again as ``deposit_axes``
+        forms them.  A point's two dense rows along axis 0 (``axis_rows``),
+        of off_0 g_0 and of v_0, times the (n_0, n_1) values sum them along
+        axis 0 with either weight, one matrix product per ``tiles`` of the
+        values' columns.  Both sums are read on the point's box along axis 1
+        and summed there against v_1 (component 0) or off_1 g_1 (component 1).
         """
-        (n0, n1), step, cut = self.shape, max(1, PRODUCT_MACS // (32 * self.shape[0])), tiles(self.shape[1])
-        grid, out = values.reshape(n0, n1), np.empty((len(v), 2))
-        for rows in (slice(a, a + step) for a in range(0, len(v), step)):
-            a0 = self.axis_rows(np.stack([self.off[rows, 0] * g[rows, 0], v[rows, 0]], axis=1), 0, rows).reshape(-1, n0)
+        (n0, n1), cut = self.grid.shape, tiles(self.grid.shape[1])
+        grid, out = values.reshape(n0, n1), np.empty((len(self.first), 2))
+        for rows, part in self.chunks(max(1, PRODUCT_MACS // (32 * n0))):
+            v, g = factors(part.sq())
+            off = part.off
+            a0 = part.axis_rows(np.stack([off[:, 0] * g[:, 0], v[:, 0]], axis=1), 0).reshape(-1, n0)
             sums = np.empty((len(a0), n1))
             for t in cut:
                 np.matmul(a0, grid[:, t], out=sums[:, t])
-            box = np.take_along_axis(sums.reshape(-1, 2, n1), self.at[rows, None, 1], axis=2)
-            np.einsum("nw,nw->n", box[:, 0], v[rows, 1], out=out[rows, 0])
-            np.einsum("nw,nw->n", box[:, 1], self.off[rows, 1] * g[rows, 1], out=out[rows, 1])
+            box = np.take_along_axis(sums.reshape(-1, 2, n1), part.at[:, None, 1], axis=2)
+            np.einsum("nw,nw->n", box[:, 0], v[:, 1], out=out[rows, 0])
+            np.einsum("nw,nw->n", box[:, 1], off[:, 1] * g[:, 1], out=out[rows, 1])
         return out
 
 
@@ -401,8 +424,8 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # serialisation: CSV values plus a JSON geometry sidecar
 
-# The most rows ``write_csv`` holds as Python objects at once: about 0.12 MB of
-# cells for a 1d trajectory.
+# The most CSV rows held as Python objects at once, by ``write_csv`` and by
+# ``runner.read_trajectory_csv``: about 0.12 MB of cells for a 1d trajectory.
 CSV_ROWS = 1 << 10
 
 

@@ -79,17 +79,15 @@ class KernelMoments:
     m2: float
     sup_v: float
     sup_d2v: float
-    l1_grad_v: float
 
 
-# (m1, m2, l1_grad) of the unit profile per (family, d): the integrals of
-# |x| V_1, |x|^2 V_1 and |grad V_1| over R^d.  The gaussian's l1_grad is
-# E|X| in both dimensions; the bump's are polynomial integrals on [0, 1].
+# (m1, m2) of the unit profile per (family, d): the integrals of |x| V_1 and
+# |x|^2 V_1 over R^d; the bump's are polynomial integrals on [0, 1].
 UNIT_MOMENTS = {
-    ("gaussian", 1): (math.sqrt(2.0 / math.pi), 1.0, math.sqrt(2.0 / math.pi)),
-    ("gaussian", 2): (math.sqrt(math.pi / 2.0), 2.0, math.sqrt(math.pi / 2.0)),
-    ("bump", 1): (35.0 / 128.0, 1.0 / 9.0, 35.0 / 16.0),
-    ("bump", 2): (128.0 / 315.0, 1.0 / 5.0, 128.0 / 35.0),
+    ("gaussian", 1): (math.sqrt(2.0 / math.pi), 1.0),
+    ("gaussian", 2): (math.sqrt(math.pi / 2.0), 2.0),
+    ("bump", 1): (35.0 / 128.0, 1.0 / 9.0),
+    ("bump", 2): (128.0 / 315.0, 1.0 / 5.0),
 }
 
 # c_d with c_d (1 - |x|^2)^3 of mass one: 1 / (32/35) in d = 1, 1 / (pi/4) in d = 2.
@@ -112,14 +110,13 @@ def _unit_sup_hessian(family: str, d: int) -> float:
 # scaled evaluation
 
 def kernel_moments(spec: MollifierSpec) -> KernelMoments:
-    """First and second moments, sup norms and the gradient L1 norm of V_eps."""
-    m1_unit, m2_unit, l1g_unit = UNIT_MOMENTS[spec.family, spec.d]
+    """First and second moments and sup norms of V_eps."""
+    m1_unit, m2_unit = UNIT_MOMENTS[spec.family, spec.d]
     return KernelMoments(
         m1=spec.eps * m1_unit,
         m2=spec.eps ** 2 * m2_unit,
         sup_v=spec.eps ** (-spec.d) * _unit_sup(spec.family, spec.d),
         sup_d2v=spec.eps ** (-spec.d - 2) * _unit_sup_hessian(spec.family, spec.d),
-        l1_grad_v=l1g_unit / spec.eps,
     )
 
 

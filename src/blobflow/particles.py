@@ -197,7 +197,7 @@ def simulate(
 
     def record(ens, last):
         """Append the snapshot and its diagnostics; return the next step's first-stage velocity, unless last."""
-        dw_step = w2(snapshots[-1][1], ens) if snapshots else 0.0  # first, so its (N, N) cost never meets the deposit's pairs
+        dw_step = w2(snapshots[-1][1], ens) if snapshots else 0.0  # first, so an (N, N) cost it forms is freed before the deposit is formed
         dep = mollified_density(ens.positions, kernel, quad.grid_for(ens.positions, kernel))
         diagnostics.append({
             "t": ens.time,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class ProductDensity:
             raise ValueError("a product density needs exactly two one-dimensional axis densities")
 
 
+@lru_cache(maxsize=16)
 def _jacobi_rule(n: int, b: float):
-    """n-point Gauss-Jacobi nodes on [-1, 1] and weights summing to 1 for the weight (1 + x)^b, b > 0.
+    """n-point Gauss-Jacobi nodes on [-1, 1] and weights summing to 1 for the weight (1 + x)^b, b > 0, read-only.
 
     Golub-Welsch: the nodes are the eigenvalues of the weight's symmetric
     tridiagonal Jacobi matrix and the weights the squared first components
-    of its unit eigenvectors.
+    of its unit eigenvectors.  The rule is computed once per (n, b): one
+    eigendecomposition is 0.3 ms on one BLAS thread but 11-16 ms on two.
     """
     k = np.arange(n, dtype=float)
     s = 2.0 * k + b
@@ -76,7 +79,9 @@ def _jacobi_rule(n: int, b: float):
     k, s = k[1:], s[1:]
     off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
     nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2
+    weights = vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _front_mass(u, p: float, rule):
@@ -291,13 +296,6 @@ def stability_bound(lam: float, t: float, dw0: float) -> float:
 # ---------------------------------------------------------------------------
 # analytic lower bound of the mollified energy
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    lhs: float  # E_eps[rho]
-    rhs: float  # -c1 - 4 c2 C_{d,alpha} (1 + eps^2 m2(V1) + m2(rho))^alpha
-    ok: bool
-
-
 def negative_part_constants(model: EnergyModel, alpha: float) -> tuple[float, float]:
     """(c1, c2) with F^-(s) <= c1 s + c2 s^alpha.
 
@@ -309,8 +307,8 @@ def negative_part_constants(model: EnergyModel, alpha: float) -> tuple[float, fl
     return 0.0, 1.0 / (np.e * (1.0 - alpha))
 
 
-def lower_bound_check(rho, kernel: MollifierSpec, model: EnergyModel) -> LowerBoundReport:
-    """Check E_eps[rho] >= -c1 - 4 c2 C_{d,alpha}(1 + eps^2 m2(V1) + m2(rho))^alpha."""
+def lower_bound_check(rho, kernel: MollifierSpec, model: EnergyModel) -> bool:
+    """True when E_eps[rho] >= -c1 - 4 c2 C_{d,alpha}(1 + eps^2 m2(V1) + m2(rho))^alpha, up to 1e-6 (1 + |rhs|)."""
     alpha = alpha_for_dim(kernel.d)
     c_da = moment_interpolation_constant(kernel.d)
     c1, c2 = negative_part_constants(model, alpha)
@@ -320,5 +318,4 @@ def lower_bound_check(rho, kernel: MollifierSpec, model: EnergyModel) -> LowerBo
         mom2 = ensemble_m2(rho)
     lhs = regularized_energy(rho, kernel, model)
     rhs = -c1 - 4.0 * c2 * c_da * (1.0 + kernel_moments(kernel).m2 + mom2) ** alpha
-    ok = bool(lhs >= rhs - 1e-6 * (1.0 + abs(rhs)))
-    return LowerBoundReport(lhs=lhs, rhs=rhs, ok=ok)
+    return bool(lhs >= rhs - 1e-6 * (1.0 + abs(rhs)))

@@ -15,6 +15,7 @@ import json
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import ConfigError, DomainEscapeError
 from .fields import (
     TestFunction, error_term_grid, error_term_z, local_weak_form_residual, mollify, mollify_auto, weak_form_residual
 )
-from .grids import GridField, cover_points, write_csv, write_field_csv
+from .grids import CSV_ROWS, GridField, cover_points, write_csv, write_field_csv
 from .jko import JkoChain, StepRecord, flow_interchange_diagnostic, run_jko
 from .particles import ParticleEnsemble, Trajectory, simulate, step_count, step_plan
 from .reference import BarenblattProfile, heat_solution
@@ -53,16 +54,32 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     """The snapshots of a trajectory CSV, whose rows come grouped by snapshot in increasing t.
 
-    Each snapshot's positions are an (N, d) array of their own, so the parsed file is freed on return.
+    The rows are parsed CSV_ROWS at a time, and each snapshot's positions are an (N, d) array of their own, so
+    what the reader holds beyond the snapshots stays bounded whatever the file's length.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    gaps = np.diff(data[:, 0])
-    if np.any(gaps < 0):
-        raise ValueError(f"{path}: rows must come grouped by snapshot in increasing t")
-    snapshots = []
-    for block in np.split(data, np.flatnonzero(gaps) + 1):
-        t = float(block[0, 0])
-        snapshots.append((t, ParticleEnsemble(block[np.argsort(block[:, 1]), 2:], time=t)))
+    snapshots, parts = [], []  # parts: the current snapshot's rows so far, one piece per parsed chunk
+
+    def close():
+        rows = np.concatenate(parts)
+        t = float(rows[0, 0])
+        snapshots.append((t, ParticleEnsemble(rows[np.argsort(rows[:, 1]), 2:], time=t)))
+        parts.clear()
+
+    with Path(path).open() as fh:
+        next(fh, None)
+        while (line := next(fh, None)) is not None:
+            block = np.loadtxt(chain([line], islice(fh, CSV_ROWS - 1)), delimiter=",", ndmin=2)
+            if block.size == 0:
+                continue
+            gaps = np.diff(block[:, 0])
+            if np.any(gaps < 0) or (parts and block[0, 0] < parts[-1][0, 0]):
+                raise ValueError(f"{path}: rows must come grouped by snapshot in increasing t")
+            for piece in np.split(block, np.flatnonzero(gaps) + 1):
+                if parts and piece[0, 0] != parts[-1][0, 0]:
+                    close()
+                parts.append(piece)
+    if parts:
+        close()
     return Trajectory(snapshots=snapshots, diagnostics=[])
 
 

@@ -13,9 +13,11 @@ method scipy's ``linear_sum_assignment`` implements), written here in
 numpy so that no run imports ``scipy.optimize``.  The solve starts from
 the row-minimum dual, which already matches every row whose cheapest
 column no other row wants; consecutive snapshots of a run are mostly that
-case.
+case, and then no (N, N) cost is formed whole (``SquaredDistances``).
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +50,54 @@ def w1_1d(a, b) -> float:
     return float(np.mean(np.abs(np.sort(pa[:, 0]) - np.sort(pb[:, 0]))))
 
 
-def linear_assignment(cost: np.ndarray) -> np.ndarray:
+# The most cost entries formed at once for the starting dual: 0.125 MB of float64.
+COST_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class SquaredDistances:
+    """The (N, N) cost |a_i - b_j|^2 of two (N, d) position arrays, whose rows are formed as they are read.
+
+    ``cost[rows]`` is the squared gap along axis 0, then each later axis's
+    squared gap added on, one axis at a time, so no (N, N, d) or second
+    cost-sized array is formed.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        if len(self.a) != len(self.b):
+            raise ValueError(f"particle counts differ: {len(self.a)} vs {len(self.b)}")
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self._summed(lambda k: np.subtract.outer(self.a[rows, k], self.b[:, k]))
+
+    def matched(self, cols: np.ndarray) -> np.ndarray:
+        """(N,) cost of each row i at its column cols[i], by the same formula."""
+        return self._summed(lambda k: self.a[:, k] - self.b[cols, k])
+
+    def _summed(self, gap) -> np.ndarray:
+        cost = gap(0)
+        cost *= cost
+        for k in range(1, self.a.shape[1]):
+            more = gap(k)
+            more *= more
+            cost += more
+        return cost
+
+
+def linear_assignment(cost) -> np.ndarray:
     """Columns cols minimising cost[arange(n), cols].sum() over permutations of a square cost.
 
-    Start from the dual u_i = min_j c_ij, v = 0 and match each row to its
+    cost is a matrix or a ``SquaredDistances``.  The starting dual reads it
+    COST_BLOCK entries at a time; only when a row is left for a sweep is it
+    read whole (a view of a matrix, formed once from ``SquaredDistances``),
+    so the search steps read rows of one matrix.  Start from the dual
+    u_i = min_j c_ij, v = 0 and match each row to its
     argmin column where no other row's argmin is that column: this partial
     matching has zero reduced cost c_ij - u_i - v_j, and every reduced cost
     is >= 0.  Each row left over is matched by one Crouse sweep, a Dijkstra
@@ -59,22 +105,29 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
     over the columns; the duals are then updated so that both properties
     still hold and the path is flipped.  Among columns at equal distance an
     unmatched one ends the search.  O(n^3) at worst, O(n^2) when no sweep
-    runs.  Non-finite costs raise ValueError, as in scipy, since a search
-    on them need not end.
+    runs.  Non-finite costs raise ValueError before any sweep, as in scipy,
+    since a search on them need not end.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost must be a square matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise ValueError("cost matrix contains NaN or infinite entries")
-    n = cost.shape[0]
-    u, v = cost.min(axis=1), np.zeros(n)
+    if not isinstance(cost, SquaredDistances):
+        cost = np.asarray(cost, dtype=float)
+        if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+            raise ValueError(f"cost must be a square matrix, got shape {cost.shape}")
+    n = len(cost)
+    u, v, best = np.empty(n), np.zeros(n), np.empty(n, dtype=int)
+    step = max(1, COST_BLOCK // max(n, 1))
+    for a in range(0, n, step):
+        block = cost[a:a + step]
+        if not np.isfinite(block).all():
+            raise ValueError("cost matrix contains NaN or infinite entries")
+        u[a:a + step], best[a:a + step] = block.min(axis=1), block.argmin(axis=1)
     col4row, row4col = np.full(n, -1), np.full(n, -1)
-    best = cost.argmin(axis=1)
     lone = np.bincount(best, minlength=n)[best] == 1
     col4row[lone] = best[lone]
     row4col[best[lone]] = np.flatnonzero(lone)
-    for start in np.flatnonzero(col4row < 0):
+    left = np.flatnonzero(col4row < 0)
+    if left.size:
+        cost = cost[:]
+    for start in left:
         dist, path = np.full(n, np.inf), np.full(n, -1)
         todo = np.ones(n, dtype=bool)
         i, low, tree = start, 0.0, []
@@ -106,19 +159,10 @@ def linear_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def w2_assignment_positions(a: np.ndarray, b: np.ndarray) -> float:
-    """W2 of the optimal assignment on the squared-distance cost, built one axis at a time (no (N, N, d) array):
-    each axis after the first is added on in row chunks of at most 2**14 entries, so no second (N, N) array is held."""
-    a, b = _pos(a), _pos(b)
-    cost = np.subtract.outer(a[:, 0], b[:, 0])
-    cost *= cost
-    step = max(1, (1 << 14) // len(b))
-    for k in range(1, a.shape[1]):
-        for i in range(0, len(a), step):
-            gap = np.subtract.outer(a[i:i + step, k], b[:, k])
-            gap *= gap
-            cost[i:i + step] += gap
-    cols = linear_assignment(cost)
-    return float(np.sqrt(cost[np.arange(cost.shape[0]), cols].mean()))
+    """W2 of the optimal assignment on the squared-distance cost (``SquaredDistances``), which is formed whole
+    only when the solve sweeps."""
+    cost = SquaredDistances(_pos(a), _pos(b))
+    return float(np.sqrt(cost.matched(linear_assignment(cost)).mean()))
 
 
 def w2(a, b) -> float:

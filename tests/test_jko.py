@@ -142,8 +142,9 @@ def test_flow_interchange_mass_identity_m1():
 def test_flow_interchange_stationary_blob_warns():
     chain = run_jko(np.array([0.0]), K, M2, tau=TAU, n_steps=4)
     rep = flow_interchange_diagnostic(chain)
-    assert np.ptp(rep.d_terms) <= 1e-10 * max(1.0, rep.d_terms.max())  # nothing evolves
-    assert abs(rep.entropy_initial - rep.entropy_final) <= 1e-10
+    terms = np.array([r.fi_term for r in chain.records])
+    assert np.ptp(terms) <= 1e-10 * max(1.0, terms.max())  # nothing evolves
+    assert np.ptp([r.entropy for r in chain.records]) <= 1e-10
     assert rep.solver_quality_warning  # drop ~ 0 while the terms are positive
 
 
@@ -354,7 +355,8 @@ def test_flow_interchange_deposits_only_the_initial_state(monkeypatch, n_steps):
     monkeypatch.setattr(Grid, "window", _counting(calls, "window", Grid.window))
     rep = flow_interchange_diagnostic(chain)
     assert calls["window"] == 1
-    assert rep.d_terms.size == rep.mass_terms.size == n_steps
+    assert len(chain.records) == n_steps
+    assert rep.sum_d == float(np.sum([r.fi_term for r in chain.records]))
 
 
 def _hull_report_oracle(chain):
@@ -374,7 +376,8 @@ def test_flow_interchange_records_match_the_hull_grid(model):
     chain = run_jko(x0, MollifierSpec("gaussian", 1, 0.2), model, tau=TAU, n_steps=20)
     rep = flow_interchange_diagnostic(chain)
     d_terms, mass_terms, h0, hk = _hull_report_oracle(chain)
-    np.testing.assert_allclose(rep.d_terms, d_terms, rtol=1e-10, atol=0.0)
-    np.testing.assert_allclose(rep.mass_terms, mass_terms, rtol=1e-12, atol=0.0)
-    assert rep.entropy_initial == pytest.approx(h0, rel=1e-12, abs=0.0)
-    assert rep.entropy_final == pytest.approx(hk, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose([r.fi_term for r in chain.records], d_terms, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose([r.mass_term for r in chain.records], mass_terms, rtol=1e-12, atol=0.0)
+    assert chain.records[-1].entropy == pytest.approx(hk, rel=1e-12, abs=0.0)
+    assert rep.sum_mass == pytest.approx(mass_terms.sum(), rel=1e-12, abs=0.0)
+    assert rep.ratio == pytest.approx(d_terms.sum() / (model.m ** 2 / (4.0 * model.c1) * (h0 - hk)), rel=1e-9, abs=0.0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from blobflow import runner
+from blobflow import runner, transport
 from blobflow.config import ExperimentConfig
 from blobflow.errors import SizeLimitError
 from blobflow.particles import ParticleEnsemble
 from blobflow.transport import (
+    SquaredDistances,
     linear_assignment,
     m2,
     w1_1d,
@@ -190,6 +192,81 @@ def test_assignment_rejects_non_finite_costs():
             w2_assignment_positions(a, b)
     with pytest.raises(ValueError):
         linear_assignment(np.zeros((2, 3)))
+
+
+class RowsOf(SquaredDistances):
+    """A square matrix read through the lazy route: each read is recorded and forms a copy of those rows."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix, matrix)
+        object.__setattr__(self, "reads", [])
+
+    def __getitem__(self, rows):
+        self.reads.append(rows)
+        return self.a[rows].copy()
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_rows_formed_on_demand_give_the_matrix_columns(n, seed, levels):
+    # the scipy-comparison inputs: continuous costs (levels 0) and small-integer ones that tie often; the starting dual
+    # reads blocks of at most COST_BLOCK entries, and a solve that sweeps reads the whole cost once, not a row per step
+    rng = np.random.default_rng(seed)
+    cost = rng.random((n, n)) if levels == 0 else rng.integers(0, levels, (n, n)).astype(float)
+    lazy = RowsOf(cost)
+    assert np.array_equal(linear_assignment(lazy), linear_assignment(cost))
+    if lazy.reads[-1] == slice(None):
+        lazy.reads.pop()
+    assert all(r.stop is not None and (r.stop - r.start) * n <= max(n, transport.COST_BLOCK) for r in lazy.reads)
+    assert len(lazy.reads) == -(-n // max(1, transport.COST_BLOCK // n))
+
+
+def test_lazy_cost_gives_the_matrix_columns_and_w2_on_a_2d_snapshot_step(tmp_path):
+    # a consecutive-snapshot pair of blob2d_gauss: the cost rows formed from the positions as the solver reads them give
+    # the columns and the W2 bits of the whole (N, N) cost, summed axis 0 first as the rows are
+    raw = WORKLOADS["blob2d_gauss"].config(level_for(DEFAULT_SEED), str(tmp_path / "run"))
+    cfg = ExperimentConfig.from_dict(raw)
+    (_, a), (_, b) = runner.execute(cfg, cfg.output_dir).trajectory.snapshots[-2:]
+    a, b = a.positions, b.positions
+    cost = np.subtract.outer(a[:, 0], b[:, 0]) ** 2 + np.subtract.outer(a[:, 1], b[:, 1]) ** 2
+    cols = linear_assignment(cost)
+    assert np.array_equal(linear_assignment(SquaredDistances(a, b)), cols)
+    assert np.array_equal(SquaredDistances(a, b).matched(cols), cost[np.arange(len(a)), cols])
+    assert w2_assignment_positions(a, b) == float(np.sqrt(cost[np.arange(len(a)), cols].mean()))
+
+
+def test_non_finite_positions_raise_before_any_sweep():
+    reads = []
+
+    class Recording(SquaredDistances):
+        def __getitem__(self, rows):
+            reads.append(rows)
+            return super().__getitem__(rows)
+
+    rng = np.random.default_rng(8)
+    for bad in (np.nan, np.inf):
+        a, b = rng.normal(size=(100, 2)), rng.normal(size=(100, 2))
+        a[-1, 1] = bad
+        reads.clear()
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            linear_assignment(Recording(a, b))
+        assert reads and all(r.stop is not None for r in reads)  # the starting dual's blocks only
+
+
+def test_assignment_w2_holds_less_than_one_cost_matrix():
+    # a snapshot step, which the starting dual matches whole: the whole (N, N) cost made the W2 at N = 512 peak at
+    # 2.49 MB, beside 2.10 MB for the cost itself; its rows formed block by block peak at 0.54 MB
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(512, 2))
+    b = a + 1e-3 * rng.normal(size=a.shape)
+    w2_assignment_positions(a, b)
+    tracemalloc.start()
+    try:
+        w2_assignment_positions(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * np.dtype(float).itemsize
 
 
 def test_2d_snapshot_steps_equal_the_scipy_assignment(tmp_path):
